@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tsa_core::anchored::{self, AnchorConfig};
+use tsa_core::sweep::{Order, Sweep};
 use tsa_core::{
-    affine, banded3, blocked, carrillo_lipman, full, hirschberg3, local, score_only, wavefront,
+    affine, banded3, carrillo_lipman, full, hirschberg3, local, wavefront, CancelToken, SimdKernel,
 };
 use tsa_scoring::GapModel;
 use tsa_scoring::Scoring;
@@ -29,20 +30,32 @@ fn bench_three_seq(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("wavefront", n), &n, |bch, _| {
             bch.iter(|| wavefront::align_score(&a, &b, &cc, &scoring))
         });
-        group.bench_with_input(BenchmarkId::new("blocked_t16", n), &n, |bch, _| {
-            bch.iter(|| blocked::align_score(&a, &b, &cc, &scoring, 16))
-        });
-        group.bench_with_input(BenchmarkId::new("score_slabs", n), &n, |bch, _| {
-            bch.iter(|| score_only::score_slabs(&a, &b, &cc, &scoring))
-        });
+        for (name, order) in [
+            ("tiles_t16", Order::Tiles { tile: 16 }),
+            ("score_slabs", Order::Slabs),
+        ] {
+            let sweep = Sweep::new(order, SimdKernel::Auto);
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |bch, _| {
+                bch.iter(|| sweep.score(&a, &b, &cc, &scoring).unwrap())
+            });
+        }
+        let never = CancelToken::never();
         group.bench_with_input(BenchmarkId::new("hirschberg_dc", n), &n, |bch, _| {
-            bch.iter(|| hirschberg3::align(&a, &b, &cc, &scoring).score)
+            bch.iter(|| {
+                hirschberg3::align(&a, &b, &cc, &scoring, false, SimdKernel::Auto, &never)
+                    .unwrap()
+                    .score
+            })
         });
         group.bench_with_input(BenchmarkId::new("carrillo_lipman", n), &n, |bch, _| {
             bch.iter(|| carrillo_lipman::align_score_with_stats(&a, &b, &cc, &scoring).0)
         });
         group.bench_with_input(BenchmarkId::new("banded_adaptive", n), &n, |bch, _| {
-            bch.iter(|| banded3::align_adaptive(&a, &b, &cc, &scoring).score)
+            bch.iter(|| {
+                banded3::align_adaptive(&a, &b, &cc, &scoring, &never)
+                    .unwrap()
+                    .score
+            })
         });
         group.bench_with_input(BenchmarkId::new("local_sw3", n), &n, |bch, _| {
             bch.iter(|| local::align_score(&a, &b, &cc, &scoring))

@@ -1,8 +1,10 @@
 //! Criterion micro-benchmark for tile-size sensitivity (the regression
-//! mirror of experiment F3) and the barrier-vs-dataflow scheduler ablation.
+//! mirror of experiment F3): the sweep engine's tile order under scalar
+//! rows and under the `auto` SIMD kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tsa_core::blocked;
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::SimdKernel;
 use tsa_scoring::Scoring;
 use tsa_seq::family::FamilyConfig;
 
@@ -12,12 +14,12 @@ fn bench_tiles(c: &mut Criterion) {
     let [a, b, cc] = fam.members;
     let mut group = c.benchmark_group("tiles");
     for tile in [4usize, 8, 16, 32] {
-        group.bench_with_input(BenchmarkId::new("barrier", tile), &tile, |bch, &t| {
-            bch.iter(|| blocked::align_score(&a, &b, &cc, &scoring, t))
-        });
-        group.bench_with_input(BenchmarkId::new("dataflow_w2", tile), &tile, |bch, &t| {
-            bch.iter(|| blocked::fill_dataflow(&a, &b, &cc, &scoring, t, 2).final_score())
-        });
+        for (name, kernel) in [("scalar", SimdKernel::Scalar), ("auto", SimdKernel::Auto)] {
+            let sweep = Sweep::new(Order::Tiles { tile }, kernel);
+            group.bench_with_input(BenchmarkId::new(name, tile), &tile, |bch, _| {
+                bch.iter(|| sweep.score(&a, &b, &cc, &scoring).unwrap())
+            });
+        }
     }
     group.finish();
 }

@@ -2,11 +2,12 @@
 //!
 //! All variants are `O(n³)`; the figure shows the constant factors: the
 //! sequential fill's cache-friendly sweep, the wavefront's scheduling
-//! overhead, the blocked variant between them, and divide-and-conquer's
-//! ≤ 2× work in quadratic memory.
+//! overhead, the tile order (scalar rows) between them, and
+//! divide-and-conquer's ≤ 2× work in quadratic memory.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{blocked, full, hirschberg3, wavefront};
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::{full, hirschberg3, wavefront, CancelToken, SimdKernel};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -16,7 +17,7 @@ pub fn run(cfg: &RunConfig) {
             "n",
             "full_ms",
             "wavefront_ms",
-            "blocked_ms",
+            "tiles_ms",
             "hirschberg_ms",
             "par_hirsch_ms",
         ],
@@ -27,13 +28,17 @@ pub fn run(cfg: &RunConfig) {
         let reps = cfg.reps();
         let (s0, t_full) = timing::best_of(reps, || full::align_score(&a, &b, &c, &scoring));
         let (s1, t_wf) = timing::best_of(reps, || wavefront::align_score(&a, &b, &c, &scoring));
-        let (s2, t_blk) = timing::best_of(reps, || blocked::align_score(&a, &b, &c, &scoring, 16));
-        let (al3, t_h) = timing::best_of(reps, || hirschberg3::align(&a, &b, &c, &scoring));
-        let (al4, t_ph) =
-            timing::best_of(reps, || hirschberg3::align_parallel(&a, &b, &c, &scoring));
+        let tiles = Sweep::new(Order::Tiles { tile: 16 }, SimdKernel::Scalar);
+        let (s2, t_blk) = timing::best_of(reps, || tiles.score(&a, &b, &c, &scoring).unwrap());
+        let dc = |parallel| {
+            let never = CancelToken::never();
+            hirschberg3::align(&a, &b, &c, &scoring, parallel, SimdKernel::Auto, &never).unwrap()
+        };
+        let (al3, t_h) = timing::best_of(reps, || dc(false));
+        let (al4, t_ph) = timing::best_of(reps, || dc(true));
         for (name, s) in [
             ("wavefront", s1),
-            ("blocked", s2),
+            ("tiles", s2),
             ("hirschberg", al3.score),
             ("par-hirschberg", al4.score),
         ] {

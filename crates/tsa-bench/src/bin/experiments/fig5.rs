@@ -2,14 +2,15 @@
 //! setting, reproduced analytically per the substitution rule).
 //!
 //! The blocked wavefront under the α–β message model
-//! (`tsa-perfmodel::cluster`), with the per-tile cost calibrated from a
-//! measured sequential blocked run on this host. Three interconnect
-//! classes: shared memory (α = 0), a fast 2007-era interconnect
-//! (Myrinet-class), and gigabit Ethernet. Reports predicted speedup per
+//! (`tsa-perfmodel::cluster`), with the per-cell cost calibrated from a
+//! measured run of the sweep engine's tile order (scalar rows) on this
+//! host. Three interconnect classes: shared memory (α = 0), a fast
+//! 2007-era interconnect (Myrinet-class), and gigabit Ethernet. Reports predicted speedup per
 //! node count and each class's saturation point.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::blocked;
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::SimdKernel;
 use tsa_perfmodel::{pipeline, ClusterModel};
 use tsa_scoring::Scoring;
 
@@ -21,9 +22,10 @@ pub fn run(cfg: &RunConfig) {
     let (a, b, c) = workload::triple(n);
     let dims = (a.len(), b.len(), c.len());
 
-    // Calibrate the per-cell cost from a real sequential blocked run.
+    // Calibrate the per-cell cost from a real tile-order run.
+    let tiles = Sweep::new(Order::Tiles { tile: TILE }, SimdKernel::Scalar);
     let (_, t_seq) = timing::best_of(cfg.reps(), || {
-        blocked::align_score(&a, &b, &c, &scoring, TILE)
+        tiles.score(&a, &b, &c, &scoring).expect("uncancelled")
     });
     let cells = workload::cell_updates(&a, &b, &c);
     let t_cell_ns = t_seq.as_nanos() as f64 / cells as f64;

@@ -1,40 +1,30 @@
 //! F6 — wavefront load profile over execution.
 //!
-//! Runs the plane-parallel DP with the traced executor and reports, per
+//! Runs the plane-parallel DP with the profiled executor and reports, per
 //! decile of the plane sequence: cells, wall time, and the effective cell
 //! rate. The ramp-up → plateau → ramp-down shape is the empirical
 //! counterpart of the analytic plane-size profile; the rate column shows
 //! the small early/late planes paying disproportionate scheduling
-//! overhead — the direct justification for the blocked variant.
+//! overhead — the direct justification for the tile order.
 
 use tsa_bench::{table::Table, workload, RunConfig};
-use tsa_core::dp::{Kernel, NEG_INF};
+use tsa_core::wavefront;
 use tsa_scoring::Scoring;
-use tsa_wavefront::plane::Extents;
-use tsa_wavefront::trace::{bucketize, run_cells_wavefront_traced};
-use tsa_wavefront::SharedGrid;
+use tsa_wavefront::PlaneSample;
 
 pub fn run(cfg: &RunConfig) {
     let scoring = Scoring::dna_default();
     let n = cfg.reference_length();
     let (a, b, c) = workload::triple(n);
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), &scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-    // SAFETY: standard plane-disjointness contract (one write per cell,
-    // reads from earlier planes).
-    let timings = run_cells_wavefront_traced(e, |i, j, k| {
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            grid.get(e.index(pi, pj, pk))
-        });
-        unsafe { grid.set(e.index(i, j, k), v) };
-    });
-    let score = unsafe { grid.get(e.index(n1, n2, n3)) };
-    println!("  (n={n}, {} planes, final score {score})", timings.len());
+    let (lattice, profile) = wavefront::fill_profiled(&a, &b, &c, &scoring);
+    println!(
+        "  (n={n}, {} planes, final score {})",
+        profile.samples.len(),
+        lattice.final_score()
+    );
 
     let mut t = Table::new(&["decile", "cells", "time_ms", "Mcells_per_s"], cfg.csv);
-    for (idx, (cells, nanos)) in bucketize(&timings, 10).iter().enumerate() {
+    for (idx, (cells, nanos)) in deciles(&profile.samples).iter().enumerate() {
         let secs = *nanos as f64 / 1e9;
         let rate = if secs > 0.0 {
             *cells as f64 / secs / 1e6
@@ -49,4 +39,17 @@ pub fn run(cfg: &RunConfig) {
         ]);
     }
     t.print();
+}
+
+/// Sum cells and wall time over ten equal ranges of the plane sequence
+/// (fewer when there are fewer than ten planes).
+fn deciles(samples: &[PlaneSample]) -> Vec<(usize, u64)> {
+    let buckets = 10.min(samples.len().max(1));
+    let mut out = vec![(0usize, 0u64); buckets];
+    for (idx, s) in samples.iter().enumerate() {
+        let slot = &mut out[idx * buckets / samples.len()];
+        slot.0 += s.items;
+        slot.1 += s.wall_ns;
+    }
+    out
 }

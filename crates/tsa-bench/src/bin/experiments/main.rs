@@ -33,9 +33,9 @@ const IDS: &[(&str, &str)] = &[
         "table2",
         "parallel speedup vs thread count (measured + model)",
     ),
-    ("fig1", "speedup curves: wavefront vs blocked"),
+    ("fig1", "speedup curves: cell wavefront vs tile order"),
     ("fig2", "runtime vs length, all algorithms"),
-    ("fig3", "tile-size sensitivity (barrier vs dataflow)"),
+    ("fig3", "tile-size sensitivity of the tile order"),
     ("table3", "memory footprint vs length"),
     ("table4", "divide-and-conquer overhead & optimality"),
     ("table5", "exact vs center-star quality"),

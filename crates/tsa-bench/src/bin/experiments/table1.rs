@@ -5,7 +5,8 @@
 //! second over the `(n1+1)(n2+1)(n3+1)` lattice.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{full, score_only};
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::{full, SimdKernel};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -27,11 +28,9 @@ pub fn run(cfg: &RunConfig) {
         let (a, b, c) = workload::triple(n);
         let cells = workload::cell_updates(&a, &b, &c);
         let (s1, t_full) = timing::best_of(cfg.reps(), || full::align_score(&a, &b, &c, &scoring));
-        let (s2, t_slab) =
-            timing::best_of(cfg.reps(), || score_only::score_slabs(&a, &b, &c, &scoring));
-        let (s3, t_planes) = timing::best_of(cfg.reps(), || {
-            score_only::score_planes_parallel(&a, &b, &c, &scoring)
-        });
+        let sweep = |order| Sweep::new(order, SimdKernel::Auto).score(&a, &b, &c, &scoring);
+        let (s2, t_slab) = timing::best_of(cfg.reps(), || sweep(Order::Slabs).unwrap());
+        let (s3, t_planes) = timing::best_of(cfg.reps(), || sweep(Order::Planes).unwrap());
         assert_eq!(s1, s2, "slab score diverged at n={n}");
         assert_eq!(s1, s3, "plane score diverged at n={n}");
         t.row(vec![

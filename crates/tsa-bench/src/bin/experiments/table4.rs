@@ -6,7 +6,7 @@
 //! effects are included) and asserts score equality with the full DP.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{full, hirschberg3};
+use tsa_core::{full, hirschberg3, CancelToken, SimdKernel};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -25,8 +25,10 @@ pub fn run(cfg: &RunConfig) {
     for n in cfg.length_sweep() {
         let (a, b, c) = workload::triple(n);
         let (full_aln, t_full) = timing::best_of(cfg.reps(), || full::align(&a, &b, &c, &scoring));
-        let (dc_aln, t_dc) =
-            timing::best_of(cfg.reps(), || hirschberg3::align(&a, &b, &c, &scoring));
+        let (dc_aln, t_dc) = timing::best_of(cfg.reps(), || {
+            let never = CancelToken::never();
+            hirschberg3::align(&a, &b, &c, &scoring, false, SimdKernel::Auto, &never).unwrap()
+        });
         let equal = full_aln.score == dc_aln.score;
         assert!(equal, "DC lost optimality at n={n}");
         dc_aln

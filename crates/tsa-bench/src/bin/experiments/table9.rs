@@ -7,7 +7,7 @@
 //! crossover depends on divergence — this table shows it.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{banded3, carrillo_lipman, full};
+use tsa_core::{banded3, carrillo_lipman, full, CancelToken};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -30,8 +30,9 @@ pub fn run(cfg: &RunConfig) {
         let (a, b, c) = fam.triple();
         let (reference, t_full) =
             timing::best_of(cfg.reps(), || full::align_score(a, b, c, &scoring));
-        let (banded, t_banded) =
-            timing::best_of(cfg.reps(), || banded3::align_adaptive(a, b, c, &scoring));
+        let (banded, t_banded) = timing::best_of(cfg.reps(), || {
+            banded3::align_adaptive(a, b, c, &scoring, &CancelToken::never()).unwrap()
+        });
         let ((cl_score, cl_stats), t_cl) = timing::best_of(cfg.reps(), || {
             carrillo_lipman::align_score_with_stats(a, b, c, &scoring)
         });

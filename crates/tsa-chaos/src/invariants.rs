@@ -196,7 +196,7 @@ fn done_ck_verified(v: &Value, score: i64) -> bool {
     let Some(algorithm) = v
         .get("algorithm")
         .and_then(Value::as_str)
-        .and_then(|name| Algorithm::by_name(name, 16, 0))
+        .and_then(|name| Algorithm::by_name(name, 16))
     else {
         return false;
     };
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn journal_checks_verify_real_checksums_and_count_flips() {
         // A genuine done line, built with the real checksum helper.
-        let algorithm = Algorithm::by_name("wavefront", 16, 0).unwrap();
+        let algorithm = Algorithm::by_name("wavefront", 16).unwrap();
         let ck = result_checksum(-3, None, algorithm);
         let good = format!(
             "{{\"ev\":\"done\",\"uid\":\"u1\",\"score\":-3,\"algorithm\":\"wavefront\",\"ck\":\"{ck:016x}\"}}"

@@ -27,15 +27,14 @@ ALIGN OPTIONS:
     --gap <g>            linear gap penalty (negative integer)
     --gap-open <o>       affine gap open (with --gap-extend)
     --gap-extend <e>     affine gap extend
-    --algorithm <name>   auto | full | wavefront | blocked | dataflow |
-                         tile-wavefront | hirschberg | par-hirschberg |
-                         center-star | carrillo-lipman | banded |
-                         anchored | affine                                  [auto]
+    --algorithm <name>   auto | full | wavefront | tile-wavefront |
+                         hirschberg | par-hirschberg | center-star |
+                         carrillo-lipman | banded | anchored | affine       [auto]
     --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2
                          | sse2-i16 | avx2-i16                             [auto]
                          (bit-identical scores; explicit requests degrade
                          to the widest set the CPU supports)
-    --tile <t>           tile edge for blocked/dataflow/tile-wavefront      [16]
+    --tile <t>           tile edge for tile-wavefront                       [16]
     --threads <n>        rayon worker threads (default: all cores)
     --width <w>          output wrap width, 0 = no wrap                     [60]
     --format <f>         plain | fasta | clustal                            [plain]
@@ -46,7 +45,7 @@ ALIGN OPTIONS:
                          figures plus the cost-model comparison on stderr
 
 PLAN OPTIONS (tsa plan --n1 <len> --n2 <len> --n3 <len>):
-    --tile <t>           tile edge for the blocked schedule                 [16]
+    --tile <t>           tile edge of the modeled tile schedule             [16]
     --t-cell <ns>        assumed per-cell cost in nanoseconds               [10]
 
 GEN OPTIONS:
@@ -235,7 +234,7 @@ pub struct AlignArgs {
     pub algorithm: String,
     /// SIMD kernel name: auto | scalar | sse2 | avx2 | sse2-i16 | avx2-i16.
     pub kernel: String,
-    /// Tile edge for blocked and tile-wavefront algorithms.
+    /// Tile edge for the tile-wavefront algorithm.
     pub tile: usize,
     /// Worker thread count (None = rayon default).
     pub threads: Option<usize>,
@@ -305,7 +304,7 @@ impl Default for GenArgs {
 pub struct PlanArgs {
     /// The three sequence lengths.
     pub n: (usize, usize, usize),
-    /// Tile edge for the blocked schedule.
+    /// Tile edge of the modeled tile schedule.
     pub tile: usize,
     /// Assumed per-cell cost (ns).
     pub t_cell_ns: f64,
@@ -974,12 +973,8 @@ impl AlignArgs {
     /// Resolve the algorithm name through the shared
     /// [`Algorithm::by_name`] lookup.
     pub fn build_algorithm(&self) -> Result<Algorithm, String> {
-        Algorithm::by_name(
-            &self.algorithm,
-            self.tile,
-            self.threads.unwrap_or_else(num_threads_default),
-        )
-        .ok_or_else(|| format!("unknown algorithm `{}`", self.algorithm))
+        Algorithm::by_name(&self.algorithm, self.tile)
+            .ok_or_else(|| format!("unknown algorithm `{}`", self.algorithm))
     }
 
     /// Resolve the kernel name through the shared [`SimdKernel::by_name`]
@@ -994,12 +989,6 @@ pub fn parse_kernel(name: &str) -> Result<SimdKernel, String> {
     SimdKernel::by_name(name).ok_or_else(|| {
         format!("unknown kernel `{name}` (want auto|scalar|sse2|avx2|sse2-i16|avx2-i16)")
     })
-}
-
-fn num_threads_default() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -1610,9 +1599,9 @@ mod tests {
             assert_eq!(a.build_algorithm().unwrap(), want);
         }
         a.algorithm = "blocked".into();
-        a.tile = 8;
-        assert_eq!(a.build_algorithm().unwrap(), Algorithm::Blocked { tile: 8 });
+        assert!(a.build_algorithm().is_err(), "retired algorithm name");
         a.algorithm = "tile-wavefront".into();
+        a.tile = 8;
         assert_eq!(
             a.build_algorithm().unwrap(),
             Algorithm::TileWavefront { tile: 8 }

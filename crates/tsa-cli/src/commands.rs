@@ -541,7 +541,8 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
         if scoring.gap.linear_penalty().is_none() {
             return Err("--profile-planes requires a linear gap model".into());
         }
-        let (aln, profile) = tsa_core::wavefront::align_profiled(&a, &b, &c, &scoring);
+        let (lattice, profile) = tsa_core::wavefront::fill_profiled(&a, &b, &c, &scoring);
+        let aln = tsa_core::full::traceback(&lattice, &a, &b, &c, &scoring);
         let summary = profile.summary();
         let cmp = tsa_perfmodel::measured::compare(&profile);
         eprintln!("# plane profile:");

@@ -63,7 +63,7 @@ fn align_all_algorithms_agree_through_the_binary() {
     for alg in [
         "full",
         "wavefront",
-        "blocked",
+        "tile-wavefront",
         "hirschberg",
         "par-hirschberg",
         "carrillo-lipman",

@@ -16,6 +16,7 @@
 //! dormant (gap–gap) columns, and never *under*-charges.
 
 use crate::alignment::{Alignment3, Column3};
+use crate::cancel::{CancelProgress, CancelToken};
 use crate::dp::{Move, MOVES, NEG_INF};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -238,8 +239,16 @@ impl<'s> AffineKernel<'s> {
     }
 }
 
-/// Fill the affine lattice sequentially (lexicographic order).
-pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLattice {
+/// Fill the affine lattice sequentially (lexicographic order), polling
+/// `cancel` once per `i`-slab; a fired token aborts the sweep with the
+/// lattice cells completed so far.
+pub fn fill(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    cancel: &CancelToken,
+) -> Result<AffineLattice, CancelProgress> {
     let kernel = AffineKernel::new(a, b, c, scoring);
     let (n1, n2, n3) = (a.len(), b.len(), c.len());
     let e = Extents::new(n1, n2, n3);
@@ -248,6 +257,12 @@ pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLattice {
         extents: e,
     };
     for i in 0..=n1 {
+        if cancel.should_stop() {
+            return Err(CancelProgress {
+                cells_done: e.index(i, 0, 0) as u64,
+                cells_total: e.cells() as u64,
+            });
+        }
         for j in 0..=n2 {
             for k in 0..=n3 {
                 let states = kernel.cell_states(i, j, k, |pi, pj, pk, mp| {
@@ -258,41 +273,22 @@ pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLattice {
             }
         }
     }
-    lat
-}
-
-/// Fill the affine lattice with plane-parallel wavefront execution.
-///
-/// The dependency structure is unchanged by the extra state dimension —
-/// every predecessor is one of the seven `{0,1}³` neighbors — so the same
-/// plane barrier applies; each cell's seven states are written by one
-/// kernel invocation.
-pub fn fill_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLattice {
-    use tsa_wavefront::SharedGrid;
-    let kernel = AffineKernel::new(a, b, c, scoring);
-    let (n1, n2, n3) = (a.len(), b.len(), c.len());
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells() * NUM_STATES, NEG_INF);
-    // SAFETY: one invocation per plane cell writes that cell's 7 slots;
-    // reads target cells on planes d−1..d−3, complete before this plane.
-    tsa_wavefront::executor::run_cells_wavefront(e, |i, j, k| {
-        let states = kernel.cell_states(i, j, k, |pi, pj, pk, mp| unsafe {
-            grid.get(e.index(pi, pj, pk) * NUM_STATES + mp)
-        });
-        let base = e.index(i, j, k) * NUM_STATES;
-        for (mi, &v) in states.iter().enumerate() {
-            unsafe { grid.set(base + mi, v) };
-        }
-    });
-    AffineLattice {
-        scores: grid.into_vec(),
-        extents: e,
-    }
+    Ok(lat)
 }
 
 /// Optimal quasi-natural affine alignment with traceback.
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let lat = fill(a, b, c, scoring);
+    traceback(&uncancelled(a, b, c, scoring), a, b, c, scoring)
+}
+
+/// Trace one optimal path through a filled affine lattice.
+pub(crate) fn traceback(
+    lat: &AffineLattice,
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+) -> Alignment3 {
     let e = lat.extents;
     let (ra, rb, rc) = (a.residues(), b.residues(), c.residues());
     let open = scoring.gap.open_penalty();
@@ -350,12 +346,11 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
 
 /// Optimal quasi-natural affine score.
 pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill(a, b, c, scoring).final_score()
+    uncancelled(a, b, c, scoring).final_score()
 }
 
-/// Optimal quasi-natural affine score via the plane-parallel fill.
-pub fn align_score_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill_parallel(a, b, c, scoring).final_score()
+fn uncancelled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLattice {
+    fill(a, b, c, scoring, &CancelToken::never()).expect("a never-firing token cannot cancel")
 }
 
 #[cfg(test)]
@@ -533,31 +528,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_is_bit_identical_to_sequential() {
-        let sc = affine(-6, -1);
-        for seed in 0..8 {
-            let (a, b, c) = random_triple(seed + 400, 10);
-            let seq_lat = fill(&a, &b, &c, &sc);
-            let par_lat = fill_parallel(&a, &b, &c, &sc);
-            assert_eq!(seq_lat.scores, par_lat.scores, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_score_matches_on_family_workload() {
-        let sc = affine(-8, -2);
-        let fam = tsa_seq::family::FamilyConfig::new(24, 0.15, 0.05).generate(6);
-        let (a, b, c) = fam.triple();
-        assert_eq!(
-            align_score_parallel(a, b, c, &sc),
-            align_score(a, b, c, &sc)
-        );
-    }
-
-    #[test]
     fn memory_is_seven_cubes() {
         let (a, b, c) = random_triple(1, 5);
-        let lat = fill(&a, &b, &c, &affine(-4, -1));
+        let lat = fill(&a, &b, &c, &affine(-4, -1), &CancelToken::never()).unwrap();
         assert_eq!(
             lat.memory_bytes(),
             (a.len() + 1) * (b.len() + 1) * (c.len() + 1) * 7 * 4

@@ -5,17 +5,17 @@ use crate::alignment::Alignment3;
 use crate::cancel::{CancelProgress, CancelToken};
 use crate::checkpoint::{CheckpointConfig, DurableStop, FrontierSnapshot, KernelKind, ResumeError};
 use crate::kernel::SimdKernel;
+use crate::sweep::{Checkpoint, Order, Sweep};
 use crate::{
-    affine, anchored, banded3, blocked, carrillo_lipman, center_star, full, hirschberg3,
-    score_only, tiled, wavefront,
+    affine, anchored, banded3, carrillo_lipman, center_star, full, hirschberg3, wavefront,
 };
 use std::fmt;
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
 /// Which aligner to run. All exact variants produce the same optimal
-/// score; `FullDp`/`Wavefront`/`Blocked*` additionally produce identical
-/// canonical tracebacks.
+/// score; `FullDp`/`Wavefront`/`TileWavefront` additionally produce
+/// identical canonical tracebacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Choose automatically: the affine DP for affine gap models, the
@@ -26,21 +26,10 @@ pub enum Algorithm {
     FullDp,
     /// Plane-parallel wavefront DP (full lattice).
     Wavefront,
-    /// Tiled wavefront with a barrier per tile plane.
-    Blocked {
-        /// Tile edge length.
-        tile: usize,
-    },
-    /// Tiled dataflow scheduling (no global barriers) on dedicated workers.
-    BlockedDataflow {
-        /// Tile edge length.
-        tile: usize,
-        /// Worker thread count.
-        threads: usize,
-    },
     /// `t×t×t` tile-wavefront: rayon over anti-diagonal planes of tiles,
     /// SIMD slab rows inside each tile (the score path of choice for long
-    /// vector rows; `align3` falls back to the blocked traceback).
+    /// vector rows; `align3` runs the `Wavefront` lattice fill, whose
+    /// canonical traceback is identical).
     TileWavefront {
         /// Tile edge length.
         tile: usize,
@@ -68,15 +57,13 @@ pub enum Algorithm {
 impl Algorithm {
     /// Look up an algorithm by its canonical name — the single spelling
     /// shared by the CLI `--algorithm` flag and the batch-service protocol.
-    /// `tile` parameterizes the blocked variants and `threads` the dataflow
-    /// scheduler; both are ignored by the other algorithms.
-    pub fn by_name(name: &str, tile: usize, threads: usize) -> Option<Algorithm> {
+    /// `tile` parameterizes `tile-wavefront` and is ignored by the other
+    /// algorithms.
+    pub fn by_name(name: &str, tile: usize) -> Option<Algorithm> {
         Some(match name {
             "auto" => Algorithm::Auto,
             "full" => Algorithm::FullDp,
             "wavefront" => Algorithm::Wavefront,
-            "blocked" => Algorithm::Blocked { tile },
-            "dataflow" => Algorithm::BlockedDataflow { tile, threads },
             "tile-wavefront" => Algorithm::TileWavefront { tile },
             "hirschberg" => Algorithm::Hirschberg,
             "par-hirschberg" => Algorithm::ParallelHirschberg,
@@ -95,8 +82,6 @@ impl Algorithm {
             Algorithm::Auto => "auto",
             Algorithm::FullDp => "full",
             Algorithm::Wavefront => "wavefront",
-            Algorithm::Blocked { .. } => "blocked",
-            Algorithm::BlockedDataflow { .. } => "dataflow",
             Algorithm::TileWavefront { .. } => "tile-wavefront",
             Algorithm::Hirschberg => "hirschberg",
             Algorithm::ParallelHirschberg => "par-hirschberg",
@@ -122,7 +107,7 @@ pub enum AlignError {
         /// The configured budget.
         budget: usize,
     },
-    /// Tile edge or thread count of zero.
+    /// Tile edge of zero.
     BadParameter(&'static str),
     /// A [`CancelToken`] fired mid-kernel (only the `*_cancellable` entry
     /// points report this); carries the progress made before stopping.
@@ -257,110 +242,159 @@ impl Aligner {
         }
     }
 
-    fn check_linear(&self) -> Result<(), AlignError> {
-        if self.scoring.gap.linear_penalty().is_none() {
-            return Err(AlignError::AffineGapNeedsAffineAlgorithm);
+    /// The sweep order the score path of `algorithm` runs, if it has one.
+    fn score_order(algorithm: Algorithm) -> Option<Order> {
+        match algorithm {
+            Algorithm::FullDp | Algorithm::Hirschberg => Some(Order::Slabs),
+            Algorithm::Wavefront | Algorithm::ParallelHirschberg => Some(Order::Planes),
+            Algorithm::TileWavefront { tile } => Some(Order::Tiles { tile }),
+            _ => None,
         }
-        Ok(())
     }
 
-    fn check_lattice(&self, n1: usize, n2: usize, n3: usize) -> Result<(), AlignError> {
-        let required = lattice_bytes(n1, n2, n3);
-        if required > self.max_lattice_bytes {
+    /// The [`crate::sweep`] order a job of these lengths runs: the score
+    /// sweep of a score-only job, or the face sweeps of a Hirschberg
+    /// alignment. `None` when no sweep (hence no SIMD row kernel) runs.
+    pub fn sweep_order(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Option<Order> {
+        match self.resolve(n1, n2, n3) {
+            alg if score_only => Self::score_order(alg),
+            Algorithm::Hirschberg => Some(Order::Slabs),
+            Algorithm::ParallelHirschberg => Some(Order::Planes),
+            _ => None,
+        }
+    }
+
+    /// The checkpointable kernel the resolved algorithm's score path maps
+    /// to, if any: the slab sweep for `FullDp`/`Hirschberg`, the plane
+    /// sweep for `Wavefront`/`ParallelHirschberg`/`TileWavefront`. `None`
+    /// means [`Aligner::score3_durable`] cannot checkpoint or resume for
+    /// these lengths.
+    pub fn durable_kind(&self, n1: usize, n2: usize, n3: usize) -> Option<KernelKind> {
+        Self::score_order(self.resolve(n1, n2, n3)).map(Order::checkpoint_kind)
+    }
+
+    /// Configuration checks for `algorithm`, run once per job: the gap
+    /// model, the full-lattice budget (for paths that materialize the
+    /// cube), and the tile edge.
+    fn check(
+        &self,
+        algorithm: Algorithm,
+        order: Option<Order>,
+        n: [usize; 3],
+    ) -> Result<(), AlignError> {
+        if algorithm != Algorithm::AffineDp && self.scoring.gap.linear_penalty().is_none() {
+            return Err(AlignError::AffineGapNeedsAffineAlgorithm);
+        }
+        let full_lattice = match order {
+            Some(order) => matches!(order, Order::Tiles { .. }),
+            None => matches!(
+                algorithm,
+                Algorithm::FullDp
+                    | Algorithm::Wavefront
+                    | Algorithm::TileWavefront { .. }
+                    | Algorithm::CarrilloLipman
+                    | Algorithm::BandedAdaptive
+            ),
+        };
+        let required = lattice_bytes(n[0], n[1], n[2]);
+        if full_lattice && required > self.max_lattice_bytes {
             return Err(AlignError::LatticeTooLarge {
                 required,
                 budget: self.max_lattice_bytes,
             });
         }
+        if algorithm == (Algorithm::TileWavefront { tile: 0 }) {
+            return Err(AlignError::BadParameter("tile must be ≥ 1"));
+        }
         Ok(())
+    }
+
+    /// The one dispatch behind every entry point. Score-only jobs of the
+    /// sweep algorithms run the [`crate::sweep`] engine (checkpointed when
+    /// `checkpoint` is set); everything else runs its lattice algorithm.
+    /// Every exact algorithm polls `cancel` once per slab or plane.
+    fn run(
+        &self,
+        a: &Seq,
+        b: &Seq,
+        c: &Seq,
+        score_only: bool,
+        cancel: &CancelToken,
+        checkpoint: Option<Checkpoint<'_>>,
+    ) -> Result<(i32, Option<Alignment3>), DurableStop> {
+        let s = &self.scoring;
+        let algorithm = self.resolve(a.len(), b.len(), c.len());
+        let order = Self::score_order(algorithm).filter(|_| score_only);
+        self.check(algorithm, order, [a.len(), b.len(), c.len()])
+            .map_err(DurableStop::Config)?;
+        if let Some(order) = order {
+            let sweep = Sweep {
+                order,
+                kernel: self.kernel,
+                cancel: Some(cancel),
+                checkpoint,
+            };
+            return sweep.score(a, b, c, s).map(|score| (score, None));
+        }
+        if let Some(snap) = checkpoint.and_then(|ck| ck.resume) {
+            return Err(DurableStop::InvalidResume(ResumeError::Kind {
+                expected: 0,
+                found: snap.kind,
+            }));
+        }
+        let traced = |lat: full::Lattice| full::traceback(&lat, a, b, c, s);
+        let aln = match algorithm {
+            Algorithm::Auto => unreachable!("resolve() never returns Auto"),
+            Algorithm::FullDp => full::fill(a, b, c, s, cancel).map(traced),
+            Algorithm::Wavefront | Algorithm::TileWavefront { .. } => {
+                wavefront::fill(a, b, c, s, cancel).map(traced)
+            }
+            Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
+                let parallel = algorithm == Algorithm::ParallelHirschberg;
+                hirschberg3::align(a, b, c, s, parallel, self.kernel, cancel)
+            }
+            Algorithm::CarrilloLipman => carrillo_lipman::align(a, b, c, s, cancel),
+            Algorithm::BandedAdaptive => banded3::align_adaptive(a, b, c, s, cancel),
+            Algorithm::AffineDp if score_only => {
+                let lat = affine::fill(a, b, c, s, cancel).map_err(DurableStop::Cancelled)?;
+                return Ok((lat.final_score(), None));
+            }
+            Algorithm::AffineDp => {
+                affine::fill(a, b, c, s, cancel).map(|lat| affine::traceback(&lat, a, b, c, s))
+            }
+            // The heuristics are quadratic: one check before starting.
+            Algorithm::CenterStar | Algorithm::Anchored if cancel.should_stop() => {
+                Err(CancelProgress::default())
+            }
+            Algorithm::CenterStar => Ok(center_star::align(a, b, c, s).alignment),
+            Algorithm::Anchored => Ok(anchored::align(
+                a,
+                b,
+                c,
+                s,
+                &anchored::AnchorConfig::default(),
+            )),
+        }
+        .map_err(DurableStop::Cancelled)?;
+        Ok((aln.score, (!score_only).then_some(aln)))
     }
 
     /// Align three sequences, producing a full [`Alignment3`].
     pub fn align3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<Alignment3, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::Auto => unreachable!("resolve() never returns Auto"),
-            Algorithm::FullDp => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(full::align(a, b, c, s))
-            }
-            Algorithm::Wavefront => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(wavefront::align(a, b, c, s))
-            }
-            Algorithm::Blocked { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                Ok(blocked::align(a, b, c, s, tile))
-            }
-            Algorithm::BlockedDataflow { tile, threads } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                if threads == 0 {
-                    return Err(AlignError::BadParameter("threads must be ≥ 1"));
-                }
-                Ok(blocked::align_dataflow(a, b, c, s, tile, threads))
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                // Traceback needs per-cell moves; the blocked tiling
-                // produces the identical canonical alignment.
-                Ok(blocked::align(a, b, c, s, tile))
-            }
-            Algorithm::Hirschberg => {
-                self.check_linear()?;
-                Ok(hirschberg3::align(a, b, c, s))
-            }
-            Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                Ok(hirschberg3::align_parallel(a, b, c, s))
-            }
-            Algorithm::CenterStar => {
-                self.check_linear()?;
-                Ok(center_star::align(a, b, c, s).alignment)
-            }
-            Algorithm::CarrilloLipman => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(carrillo_lipman::align(a, b, c, s))
-            }
-            Algorithm::BandedAdaptive => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(banded3::align_adaptive(a, b, c, s))
-            }
-            Algorithm::Anchored => {
-                self.check_linear()?;
-                Ok(anchored::align(
-                    a,
-                    b,
-                    c,
-                    s,
-                    &anchored::AnchorConfig::default(),
-                ))
-            }
-            Algorithm::AffineDp => Ok(affine::align(a, b, c, s)),
-        }
+        self.align3_cancellable(a, b, c, &CancelToken::never())
     }
 
-    /// Like [`Aligner::align3`], but cooperatively cancellable: the full,
-    /// wavefront, and Hirschberg kernels poll `cancel` once per `i`-slab /
-    /// anti-diagonal plane and abort with [`AlignError::Cancelled`]
-    /// (carrying partial-progress stats) within one plane of it firing.
-    /// Algorithms without an instrumented kernel only check the token
-    /// before starting.
+    /// Compute only the optimal score — uses the quadratic-space sweeps
+    /// where the algorithm permits.
+    pub fn score3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<i32, AlignError> {
+        self.score3_cancellable(a, b, c, &CancelToken::never())
+    }
+
+    /// Like [`Aligner::align3`], but cooperatively cancellable: every
+    /// exact algorithm polls `cancel` once per `i`-slab or anti-diagonal
+    /// plane and aborts with [`AlignError::Cancelled`] (carrying
+    /// partial-progress stats) within one step of it firing. The
+    /// quadratic heuristics check the token once before starting.
     pub fn align3_cancellable(
         &self,
         a: &Seq,
@@ -368,34 +402,10 @@ impl Aligner {
         c: &Seq,
         cancel: &CancelToken,
     ) -> Result<Alignment3, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                full::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::Wavefront => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                wavefront::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::Hirschberg => {
-                self.check_linear()?;
-                hirschberg3::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                hirschberg3::align_parallel_cancellable(a, b, c, s, cancel)
-                    .map_err(AlignError::Cancelled)
-            }
-            _ => {
-                if cancel.should_stop() {
-                    return Err(AlignError::Cancelled(CancelProgress::default()));
-                }
-                self.align3(a, b, c)
-            }
-        }
+        let (_, aln) = self
+            .run(a, b, c, false, cancel, None)
+            .map_err(align_error)?;
+        Ok(aln.expect("alignment jobs trace back"))
     }
 
     /// Like [`Aligner::score3`], but cooperatively cancellable (see
@@ -407,59 +417,18 @@ impl Aligner {
         c: &Seq,
         cancel: &CancelToken,
     ) -> Result<i32, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear()?;
-                score_only::score_slabs_cancellable_with(a, b, c, s, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::Wavefront | Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                score_only::score_planes_parallel_cancellable_with(a, b, c, s, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                tiled::score_tiles_cancellable_with(a, b, c, s, tile, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::AffineDp => {
-                if cancel.should_stop() {
-                    return Err(AlignError::Cancelled(CancelProgress::default()));
-                }
-                Ok(affine::align_score(a, b, c, s))
-            }
-            // The remaining variants have no cheaper score-only path.
-            _ => Ok(self.align3_cancellable(a, b, c, cancel)?.score),
-        }
-    }
-
-    /// The checkpointable kernel the resolved algorithm's score path maps
-    /// to, if any: the slab-rolling sweep for `FullDp`/`Hirschberg`, the
-    /// plane-rolling sweep for `Wavefront`/`ParallelHirschberg`. `None`
-    /// means [`Aligner::score3_durable`] cannot checkpoint or resume for
-    /// these lengths.
-    pub fn durable_kind(&self, n1: usize, n2: usize, n3: usize) -> Option<KernelKind> {
-        match self.resolve(n1, n2, n3) {
-            Algorithm::FullDp | Algorithm::Hirschberg => Some(KernelKind::Slabs),
-            Algorithm::Wavefront
-            | Algorithm::ParallelHirschberg
-            | Algorithm::TileWavefront { .. } => Some(KernelKind::Planes),
-            _ => None,
-        }
+        Ok(self
+            .run(a, b, c, true, cancel, None)
+            .map_err(align_error)?
+            .0)
     }
 
     /// Like [`Aligner::score3_cancellable`], plus durability: the rolling
-    /// score kernels periodically persist their frontier through `ckpt`
+    /// score sweeps periodically persist their frontier through `ckpt`
     /// and, when `resume` carries a fingerprint-matching snapshot,
     /// continue the sweep instead of starting over — with a score
     /// bit-identical to an uninterrupted run. Algorithms without a
-    /// checkpointable score kernel (see [`Aligner::durable_kind`]) run
+    /// checkpointable score sweep (see [`Aligner::durable_kind`]) run
     /// their cancellable path and reject any offered snapshot.
     pub fn score3_durable(
         &self,
@@ -470,93 +439,20 @@ impl Aligner {
         ckpt: &CheckpointConfig<'_>,
         resume: Option<&FrontierSnapshot>,
     ) -> Result<i32, DurableStop> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear().map_err(DurableStop::Config)?;
-                score_only::score_slabs_durable_with(a, b, c, s, cancel, ckpt, resume, self.kernel)
-            }
-            // Tile-wavefront checkpoints through the plane-rolling sweep:
-            // its durable path keeps the plane-boundary frontier format so
-            // snapshots stay interchangeable with `Wavefront` runs.
-            Algorithm::Wavefront
-            | Algorithm::ParallelHirschberg
-            | Algorithm::TileWavefront { .. } => {
-                self.check_linear().map_err(DurableStop::Config)?;
-                score_only::score_planes_parallel_durable_with(
-                    a,
-                    b,
-                    c,
-                    s,
-                    cancel,
-                    ckpt,
-                    resume,
-                    self.kernel,
-                )
-            }
-            _ => {
-                if let Some(snap) = resume {
-                    return Err(DurableStop::InvalidResume(ResumeError::Kind {
-                        expected: 0,
-                        found: snap.kind,
-                    }));
-                }
-                self.score3_cancellable(a, b, c, cancel)
-                    .map_err(|e| match e {
-                        AlignError::Cancelled(p) => DurableStop::Cancelled(p),
-                        other => DurableStop::Config(other),
-                    })
-            }
-        }
+        let checkpoint = Checkpoint {
+            config: ckpt,
+            resume,
+        };
+        Ok(self.run(a, b, c, true, cancel, Some(checkpoint))?.0)
     }
+}
 
-    /// Validate `snapshot` against this configuration and continue the
-    /// interrupted sweep to completion (the durability entry point used by
-    /// the batch service on restart). Equivalent to
-    /// [`Aligner::score3_durable`] with `resume` set.
-    pub fn resume_from(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        snapshot: &FrontierSnapshot,
-        cancel: &CancelToken,
-        ckpt: &CheckpointConfig<'_>,
-    ) -> Result<i32, DurableStop> {
-        self.score3_durable(a, b, c, cancel, ckpt, Some(snapshot))
-    }
-
-    /// Compute only the optimal score — uses the quadratic-space passes
-    /// where the algorithm permits.
-    pub fn score3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<i32, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear()?;
-                Ok(score_only::score_slabs_with(a, b, c, s, self.kernel))
-            }
-            Algorithm::Wavefront | Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                Ok(score_only::score_planes_parallel_with(
-                    a,
-                    b,
-                    c,
-                    s,
-                    self.kernel,
-                ))
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                Ok(tiled::score_tiles_with(a, b, c, s, tile, self.kernel))
-            }
-            Algorithm::AffineDp => Ok(affine::align_score(a, b, c, s)),
-            // The remaining variants have no cheaper score-only path.
-            _ => Ok(self.align3(a, b, c)?.score),
-        }
+/// The [`AlignError`] of a run without checkpoints.
+fn align_error(stop: DurableStop) -> AlignError {
+    match stop {
+        DurableStop::Config(e) => e,
+        DurableStop::Cancelled(p) => AlignError::Cancelled(p),
+        other => unreachable!("a run without checkpoints stopped: {other}"),
     }
 }
 
@@ -581,11 +477,6 @@ mod tests {
         for alg in [
             Algorithm::Auto,
             Algorithm::Wavefront,
-            Algorithm::Blocked { tile: 8 },
-            Algorithm::BlockedDataflow {
-                tile: 8,
-                threads: 3,
-            },
             Algorithm::TileWavefront { tile: 8 },
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
@@ -607,7 +498,6 @@ mod tests {
             Algorithm::Wavefront,
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
-            Algorithm::Blocked { tile: 4 },
             Algorithm::TileWavefront { tile: 4 },
         ] {
             let al = Aligner::new().algorithm(alg).align3(&a, &b, &c).unwrap();
@@ -622,11 +512,6 @@ mod tests {
             Algorithm::Auto,
             Algorithm::FullDp,
             Algorithm::Wavefront,
-            Algorithm::Blocked { tile: 8 },
-            Algorithm::BlockedDataflow {
-                tile: 8,
-                threads: 2,
-            },
             Algorithm::TileWavefront { tile: 8 },
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
@@ -636,9 +521,11 @@ mod tests {
             Algorithm::Anchored,
             Algorithm::AffineDp,
         ] {
-            assert_eq!(Algorithm::by_name(alg.name(), 8, 2), Some(alg));
+            assert_eq!(Algorithm::by_name(alg.name(), 8), Some(alg));
         }
-        assert_eq!(Algorithm::by_name("nope", 8, 2), None);
+        for retired in ["nope", "blocked", "dataflow"] {
+            assert_eq!(Algorithm::by_name(retired, 8), None);
+        }
     }
 
     #[test]
@@ -712,16 +599,7 @@ mod tests {
         let (a, b, c) = family_triple(5, 6);
         assert!(matches!(
             Aligner::new()
-                .algorithm(Algorithm::Blocked { tile: 0 })
-                .align3(&a, &b, &c),
-            Err(AlignError::BadParameter(_))
-        ));
-        assert!(matches!(
-            Aligner::new()
-                .algorithm(Algorithm::BlockedDataflow {
-                    tile: 4,
-                    threads: 0
-                })
+                .algorithm(Algorithm::TileWavefront { tile: 0 })
                 .align3(&a, &b, &c),
             Err(AlignError::BadParameter(_))
         ));
@@ -772,7 +650,6 @@ mod tests {
             Algorithm::Wavefront,
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
-            Algorithm::Blocked { tile: 4 },
             Algorithm::TileWavefront { tile: 4 },
         ] {
             let al = Aligner::new().algorithm(alg);
@@ -799,7 +676,6 @@ mod tests {
             Algorithm::Wavefront,
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
-            Algorithm::Blocked { tile: 4 },
             Algorithm::TileWavefront { tile: 4 },
             Algorithm::AffineDp,
         ] {
@@ -832,7 +708,6 @@ mod tests {
             Algorithm::Wavefront,
             Algorithm::ParallelHirschberg,
             Algorithm::AffineDp,
-            Algorithm::Blocked { tile: 4 },
             Algorithm::TileWavefront { tile: 4 },
         ] {
             let al = Aligner::new().algorithm(alg);
@@ -878,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_continues_a_drained_sweep() {
+    fn durable_resume_continues_a_drained_sweep() {
         use crate::checkpoint::{CheckpointConfig, DurableStop, MemorySink};
         use std::sync::atomic::{AtomicBool, Ordering};
         let (a, b, c) = family_triple(23, 20);
@@ -919,7 +794,9 @@ mod tests {
 
         let snap = sink.last().expect("snapshot stored");
         drain.store(false, Ordering::Relaxed);
-        let resumed = al.resume_from(&a, &b, &c, &snap, &token, &ckpt).unwrap();
+        let resumed = al
+            .score3_durable(&a, &b, &c, &token, &ckpt, Some(&snap))
+            .unwrap();
         assert_eq!(resumed, al.score3(&a, &b, &c).unwrap());
     }
 

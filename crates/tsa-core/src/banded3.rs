@@ -11,6 +11,7 @@
 //! is its final fallback), mirroring `tsa-pairwise::banded`.
 
 use crate::alignment::Alignment3;
+use crate::cancel::{CancelProgress, CancelToken};
 use crate::dp::{Kernel, NEG_INF};
 use crate::full::{traceback, Lattice};
 use tsa_scoring::Scoring;
@@ -48,16 +49,35 @@ pub fn fill_banded(
     scoring: &Scoring,
     w: usize,
 ) -> Option<BandedLattice> {
+    (w >= min_band(a.len(), b.len(), c.len())).then(|| {
+        fill_band(a, b, c, scoring, w, &CancelToken::never())
+            .expect("a never-firing token cannot cancel")
+    })
+}
+
+/// The banded fill proper (`w ≥ min_band`), polling `cancel` once per
+/// `i`-slab; a fired token aborts with the lattice positions swept.
+fn fill_band(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    w: usize,
+    cancel: &CancelToken,
+) -> Result<BandedLattice, CancelProgress> {
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
-    if w < min_band(n1, n2, n3) {
-        return None;
-    }
     let e = Extents::new(n1, n2, n3);
     let (w2, w3) = (n2 + 1, n3 + 1);
     let mut scores = vec![NEG_INF; e.cells()];
     let mut visited = 0usize;
     for i in 0..=n1 {
+        if cancel.should_stop() {
+            return Err(CancelProgress {
+                cells_done: e.index(i, 0, 0) as u64,
+                cells_total: e.cells() as u64,
+            });
+        }
         // In-band j range for this i.
         let j_lo = i.saturating_sub(w);
         let j_hi = (i + w).min(n2);
@@ -73,7 +93,7 @@ pub fn fill_banded(
             }
         }
     }
-    Some(BandedLattice {
+    Ok(BandedLattice {
         lattice: Lattice { scores, extents: e },
         visited,
         band: w,
@@ -91,21 +111,36 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, w: usize) -> Option<A
 /// Adaptive banding: start at `w = max(4, min_band)`, double until the
 /// score stops improving or the band covers the whole lattice (at which
 /// point the result is exactly the full DP).
-pub fn align_adaptive(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
+///
+/// Each band sweep polls `cancel` once per `i`-slab. Progress counts
+/// lattice positions swept across the band rounds, out of one lattice per
+/// round the doubling schedule could run.
+pub fn align_adaptive(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    cancel: &CancelToken,
+) -> Result<Alignment3, CancelProgress> {
     let (n1, n2, n3) = (a.len(), b.len(), c.len());
     let full_w = n1.max(n2).max(n3);
-    let mut w = 4usize.max(min_band(n1, n2, n3));
-    let mut best = align(a, b, c, scoring, w).expect("w >= min_band");
-    while w < full_w {
-        w = (w * 2).min(full_w);
-        let next = align(a, b, c, scoring, w).expect("w >= min_band");
-        let done = next.score == best.score;
-        best = next;
+    let w0 = 4usize.max(min_band(n1, n2, n3));
+    let widths: Vec<usize> =
+        std::iter::successors(Some(w0), |&w| (w < full_w).then(|| (w * 2).min(full_w))).collect();
+    let mut best: Option<Alignment3> = None;
+    for (round, &w) in widths.iter().enumerate() {
+        let banded = fill_band(a, b, c, scoring, w, cancel).map_err(|p| CancelProgress {
+            cells_done: round as u64 * p.cells_total + p.cells_done,
+            cells_total: widths.len() as u64 * p.cells_total,
+        })?;
+        let next = traceback(&banded.lattice, a, b, c, scoring);
+        let done = best.as_ref().is_some_and(|b| b.score == next.score);
+        best = Some(next);
         if done {
             break;
         }
     }
-    best
+    Ok(best.expect("at least one band round"))
 }
 
 #[cfg(test)]
@@ -152,7 +187,7 @@ mod tests {
     fn adaptive_matches_full_dp_on_randoms() {
         for seed in 0..12 {
             let (a, b, c) = random_triple(seed + 70, 12);
-            let adaptive = align_adaptive(&a, &b, &c, &s());
+            let adaptive = align_adaptive(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
             assert_eq!(
                 adaptive.score,
                 full::align_score(&a, &b, &c, &s()),
@@ -190,9 +225,9 @@ mod tests {
     fn empty_inputs() {
         let e = Seq::dna("").unwrap();
         let a = Seq::dna("ACG").unwrap();
-        let al = align_adaptive(&e, &e, &e, &s());
+        let al = align_adaptive(&e, &e, &e, &s(), &CancelToken::never()).unwrap();
         assert!(al.is_empty());
-        let al = align_adaptive(&a, &e, &e, &s());
+        let al = align_adaptive(&a, &e, &e, &s(), &CancelToken::never()).unwrap();
         assert_eq!(al.score, full::align_score(&a, &e, &e, &s()));
         al.validate_scored(&a, &e, &e, &s()).unwrap();
     }

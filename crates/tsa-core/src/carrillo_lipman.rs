@@ -23,6 +23,7 @@
 //! are never pruned, and their values are exact.
 
 use crate::alignment::Alignment3;
+use crate::cancel::{CancelProgress, CancelToken};
 use crate::center_star;
 use crate::dp::{Kernel, NEG_INF};
 use crate::full::{traceback, Lattice};
@@ -81,14 +82,16 @@ impl PrunedLattice {
 ///
 /// `lower_bound` must be the score of some *feasible* alignment (pass the
 /// center-star score, a previous run's optimum, or `i32::MIN/4` to
-/// disable pruning).
+/// disable pruning). Polls `cancel` once per `i`-slab; a fired token
+/// aborts with the lattice positions swept so far.
 pub fn fill_pruned(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
     lower_bound: i32,
-) -> PrunedLattice {
+    cancel: &CancelToken,
+) -> Result<PrunedLattice, CancelProgress> {
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
     let e = Extents::new(n1, n2, n3);
@@ -100,6 +103,12 @@ pub fn fill_pruned(
     let mut scores = vec![NEG_INF; e.cells()];
     let mut visited = 0usize;
     for i in 0..=n1 {
+        if cancel.should_stop() {
+            return Err(CancelProgress {
+                cells_done: e.index(i, 0, 0) as u64,
+                cells_total: e.cells() as u64,
+            });
+        }
         for j in 0..=n2 {
             let ub_ab = t_ab.at(i, j);
             let base = (i * w2 + j) * w3;
@@ -114,61 +123,17 @@ pub fn fill_pruned(
             }
         }
     }
-    PrunedLattice {
+    Ok(PrunedLattice {
         lattice: Lattice { scores, extents: e },
         visited,
         total: e.cells(),
         lower_bound,
-    }
-}
-
-/// Plane-parallel pruned fill: the wavefront executor with the
-/// Carrillo–Lipman test applied per cell — pruning and parallelism
-/// compose, since skipping a cell only removes work from its plane.
-pub fn fill_pruned_parallel(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    lower_bound: i32,
-) -> PrunedLattice {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use tsa_wavefront::executor::run_cells_wavefront;
-    use tsa_wavefront::SharedGrid;
-
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let t_ab = Through::build(a, b, scoring);
-    let t_ac = Through::build(a, c, scoring);
-    let t_bc = Through::build(b, c, scoring);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-    let visited = AtomicUsize::new(0);
-    // SAFETY: one invocation per plane cell; reads go to earlier planes.
-    run_cells_wavefront(e, |i, j, k| {
-        let ub = t_ab.at(i, j) + t_ac.at(i, k) + t_bc.at(j, k);
-        if ub < lower_bound {
-            return; // stays NEG_INF
-        }
-        visited.fetch_add(1, Ordering::Relaxed);
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            grid.get(e.index(pi, pj, pk))
-        });
-        unsafe { grid.set(e.index(i, j, k), v) };
-    });
-    PrunedLattice {
-        lattice: Lattice {
-            scores: grid.into_vec(),
-            extents: e,
-        },
-        visited: visited.into_inner(),
-        total: e.cells(),
-        lower_bound,
-    }
+    })
 }
 
 /// Optimal alignment via Carrillo–Lipman pruning, seeded by the
-/// center-star heuristic.
+/// center-star heuristic; the pruned fill polls `cancel` once per
+/// `i`-slab.
 ///
 /// ```
 /// use tsa_core::carrillo_lipman;
@@ -181,11 +146,17 @@ pub fn fill_pruned_parallel(
 /// assert_eq!(score, 10 * 6);
 /// assert!(stats.visited_fraction() < 1.0); // most of the cube pruned
 /// ```
-pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
+pub fn align(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    cancel: &CancelToken,
+) -> Result<Alignment3, CancelProgress> {
     let seed = center_star::align(a, b, c, scoring).alignment.score;
-    let pruned = fill_pruned(a, b, c, scoring, seed);
+    let pruned = fill_pruned(a, b, c, scoring, seed, cancel)?;
     debug_assert!(pruned.lattice.final_score() >= seed);
-    traceback(&pruned.lattice, a, b, c, scoring)
+    Ok(traceback(&pruned.lattice, a, b, c, scoring))
 }
 
 /// Optimal score plus the pruning statistics (what `table7` reports).
@@ -196,7 +167,8 @@ pub fn align_score_with_stats(
     scoring: &Scoring,
 ) -> (i32, PrunedLattice) {
     let seed = center_star::align(a, b, c, scoring).alignment.score;
-    let pruned = fill_pruned(a, b, c, scoring, seed);
+    let pruned = fill_pruned(a, b, c, scoring, seed, &CancelToken::never())
+        .expect("a never-firing token cannot cancel");
     (pruned.lattice.final_score(), pruned)
 }
 
@@ -225,7 +197,7 @@ mod tests {
         // path is fully computed, so the tie-break sees the same values.
         for seed in 0..8 {
             let (a, b, c) = family_triple(seed, 20);
-            let pruned = align(&a, &b, &c, &s());
+            let pruned = align(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
             let reference = full::align(&a, &b, &c, &s());
             assert_eq!(pruned.score, reference.score, "seed {seed}");
             pruned.validate_scored(&a, &b, &c, &s()).unwrap();
@@ -268,7 +240,7 @@ mod tests {
     #[test]
     fn disabled_pruning_visits_everything() {
         let (a, b, c) = random_triple(7, 8);
-        let st = fill_pruned(&a, &b, &c, &s(), NEG_INF);
+        let st = fill_pruned(&a, &b, &c, &s(), NEG_INF, &CancelToken::never()).unwrap();
         assert_eq!(st.visited, st.total);
         assert_eq!(
             st.lattice.final_score(),
@@ -282,7 +254,7 @@ mod tests {
         // UB ≥ opt = L, so the optimum must survive.
         let (a, b, c) = family_triple(11, 16);
         let opt = full::align_score(&a, &b, &c, &s());
-        let st = fill_pruned(&a, &b, &c, &s(), opt);
+        let st = fill_pruned(&a, &b, &c, &s(), opt, &CancelToken::never()).unwrap();
         assert_eq!(st.lattice.final_score(), opt);
     }
 
@@ -290,45 +262,19 @@ mod tests {
     fn empty_inputs() {
         let e = Seq::dna("").unwrap();
         let a = Seq::dna("ACG").unwrap();
-        let al = align(&e, &e, &e, &s());
+        let al = align(&e, &e, &e, &s(), &CancelToken::never()).unwrap();
         assert!(al.is_empty());
-        let al = align(&a, &e, &e, &s());
+        let al = align(&a, &e, &e, &s(), &CancelToken::never()).unwrap();
         al.validate_scored(&a, &e, &e, &s()).unwrap();
         assert_eq!(al.score, -12);
     }
 
     #[test]
-    fn parallel_pruned_fill_is_bit_identical() {
-        for seed in 0..6 {
-            let (a, b, c) = family_triple(seed + 50, 18);
-            let lb = center_star::align(&a, &b, &c, &s()).alignment.score;
-            let seq_fill = fill_pruned(&a, &b, &c, &s(), lb);
-            let par_fill = fill_pruned_parallel(&a, &b, &c, &s(), lb);
-            assert_eq!(
-                seq_fill.lattice.scores, par_fill.lattice.scores,
-                "seed {seed}"
-            );
-            assert_eq!(seq_fill.visited, par_fill.visited, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_pruned_matches_full_dp_score() {
-        let (a, b, c) = random_triple(21, 12);
-        let lb = center_star::align(&a, &b, &c, &s()).alignment.score;
-        let st = fill_pruned_parallel(&a, &b, &c, &s(), lb);
-        assert_eq!(
-            st.lattice.final_score(),
-            full::align_score(&a, &b, &c, &s())
-        );
-    }
-
-    #[test]
     fn tighter_bounds_prune_more() {
         let (a, b, c) = family_triple(13, 32);
-        let weak = fill_pruned(&a, &b, &c, &s(), -10_000);
+        let weak = fill_pruned(&a, &b, &c, &s(), -10_000, &CancelToken::never()).unwrap();
         let strong_seed = center_star::align(&a, &b, &c, &s()).alignment.score;
-        let strong = fill_pruned(&a, &b, &c, &s(), strong_seed);
+        let strong = fill_pruned(&a, &b, &c, &s(), strong_seed, &CancelToken::never()).unwrap();
         assert!(strong.visited <= weak.visited);
         assert_eq!(strong.lattice.final_score(), weak.lattice.final_score());
     }

@@ -1,6 +1,6 @@
 //! Cooperative checkpoint/resume for the rolling score kernels.
 //!
-//! The slab-rolling and plane-rolling sweeps ([`crate::score_only`]) keep
+//! The slab and plane orders of the sweep engine ([`crate::sweep`]) keep
 //! only a thin frontier of DP state alive, which makes them naturally
 //! checkpointable: persist the frontier plus the next index and the sweep
 //! can continue on another day — or another process — producing the exact
@@ -18,7 +18,8 @@
 //! * [`job_fingerprint`] — binds a snapshot to one (sequences, scoring,
 //!   kernel) configuration so a resumed sweep can never continue from the
 //!   wrong job's frontier;
-//! * [`crate::Aligner::resume_from`] — validates and continues.
+//! * [`crate::sweep::Checkpoint`] — config plus the snapshot to resume
+//!   from, handed to a sweep (or [`crate::Aligner::score3_durable`]).
 
 use crate::aligner::AlignError;
 use crate::cancel::CancelProgress;
@@ -33,11 +34,11 @@ pub use tsa_wavefront::snapshot::{FrontierSnapshot, SnapshotError};
 /// Which rolling kernel produced (or may consume) a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Sequential slab-rolling sweep ([`crate::score_only::score_slabs`]):
+    /// Sequential slab sweep ([`crate::sweep::Order::Slabs`]):
     /// the frontier is the previous `i`-slab.
     Slabs,
     /// Plane-rolling parallel sweep
-    /// ([`crate::score_only::score_planes_parallel`]): the frontier is the
+    /// ([`crate::sweep::Order::Planes`]): the frontier is the
     /// last three anti-diagonal planes.
     Planes,
 }

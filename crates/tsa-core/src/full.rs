@@ -12,7 +12,8 @@
 
 use crate::alignment::Alignment3;
 use crate::cancel::{CancelProgress, CancelToken};
-use crate::dp::{Kernel, NEG_INF};
+use crate::dp::Kernel;
+use crate::sweep;
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 use tsa_wavefront::plane::Extents;
@@ -44,85 +45,21 @@ impl Lattice {
     }
 }
 
-/// Fill the full lattice sequentially.
-pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
-    match fill_impl(a, b, c, scoring, None) {
-        Ok(lat) => lat,
-        Err(_) => unreachable!("no token, no cancellation"),
-    }
-}
-
-/// Like [`fill`], but polls `cancel` once per `i`-slab (one check per
-/// `O(n²)` cells); a fired token aborts the sweep with the progress made.
-pub fn fill_cancellable(
+/// Fill the full lattice sequentially: the slab sweep of
+/// [`crate::sweep`] with every slab kept, under the scalar reference rows.
+/// Polls `cancel` once per `i`-slab (one check per `O(n²)` cells); a fired
+/// token aborts the sweep with the progress made.
+pub fn fill(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
     cancel: &CancelToken,
 ) -> Result<Lattice, CancelProgress> {
-    fill_impl(a, b, c, scoring, Some(cancel))
-}
-
-fn fill_impl(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: Option<&CancelToken>,
-) -> Result<Lattice, CancelProgress> {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let (w2, w3) = (n2 + 1, n3 + 1);
-    let g2 = 2 * scoring.gap_linear();
-    let (ra, rb, rc) = (a.residues(), b.residues(), c.residues());
-    let mut scores = vec![NEG_INF; e.cells()];
-
-    for i in 0..=n1 {
-        if let Some(t) = cancel {
-            if t.should_stop() {
-                return Err(CancelProgress {
-                    cells_done: (i * w2 * w3) as u64,
-                    cells_total: e.cells() as u64,
-                });
-            }
-        }
-        for j in 0..=n2 {
-            let base = (i * w2 + j) * w3;
-            if i == 0 || j == 0 {
-                // Faces: fall back to the generic (bounds-checked) kernel.
-                for k in 0..=n3 {
-                    let v = kernel.cell(i, j, k, |pi, pj, pk| scores[(pi * w2 + pj) * w3 + pk]);
-                    scores[base + k] = v;
-                }
-                continue;
-            }
-            // Interior rows: unchecked-shape hot loop with hoisted strides.
-            let b11 = ((i - 1) * w2 + (j - 1)) * w3; // (i-1, j-1, ·)
-            let b10 = ((i - 1) * w2 + j) * w3; // (i-1, j,   ·)
-            let b01 = (i * w2 + (j - 1)) * w3; // (i,   j-1, ·)
-            let (ai, bj) = (ra[i - 1], rb[j - 1]);
-            let sab = scoring.sub(ai, bj);
-            // k = 0 face of this row.
-            scores[base] = kernel.cell(i, j, 0, |pi, pj, pk| scores[(pi * w2 + pj) * w3 + pk]);
-            for k in 1..=n3 {
-                let ck = rc[k - 1];
-                let sac = scoring.sub(ai, ck);
-                let sbc = scoring.sub(bj, ck);
-                let p111 = scores[b11 + k - 1] + sab + sac + sbc;
-                let p110 = scores[b11 + k] + sab + g2;
-                let p101 = scores[b10 + k - 1] + sac + g2;
-                let p011 = scores[b01 + k - 1] + sbc + g2;
-                let single = scores[b10 + k]
-                    .max(scores[b01 + k])
-                    .max(scores[base + k - 1])
-                    + g2;
-                scores[base + k] = p111.max(p110).max(p101).max(p011).max(single);
-            }
-        }
-    }
-    Ok(Lattice { scores, extents: e })
+    Ok(Lattice {
+        scores: sweep::fill_lattice(a, b, c, scoring, cancel)?,
+        extents: Extents::new(a.len(), b.len(), c.len()),
+    })
 }
 
 /// Trace one canonical optimal path through a filled lattice.
@@ -154,33 +91,24 @@ pub fn traceback(lat: &Lattice, a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) ->
 /// assert_eq!(aln.score, 4 * 6); // four all-match columns
 /// ```
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let lat = fill(a, b, c, scoring);
-    traceback(&lat, a, b, c, scoring)
+    traceback(&uncancelled(a, b, c, scoring), a, b, c, scoring)
 }
 
-/// Like [`align`], but the fill aborts within one `i`-slab of the token
-/// firing; the (cheap) traceback runs only on a completed lattice.
-pub fn align_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let lat = fill_cancellable(a, b, c, scoring, cancel)?;
-    Ok(traceback(&lat, a, b, c, scoring))
-}
-
-/// Optimal score only (still materializes the lattice; see
-/// [`crate::score_only`] for the quadratic-space version).
+/// Optimal score only (still materializes the lattice; the
+/// [`crate::sweep`] slab and plane orders need quadratic space).
 pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill(a, b, c, scoring).final_score()
+    uncancelled(a, b, c, scoring).final_score()
+}
+
+fn uncancelled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
+    fill(a, b, c, scoring, &CancelToken::never()).expect("a never-firing token cannot cancel")
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::dp::NEG_INF;
     use crate::test_util::{family_triple, random_triple};
     use tsa_scoring::sp;
 
@@ -291,7 +219,7 @@ mod tests {
     #[test]
     fn boundary_faces_have_correct_values() {
         let (a, b, c) = random_triple(5, 10);
-        let lat = fill(&a, &b, &c, &s());
+        let lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
         // Axis edges: D[i][0][0] = i * 2g.
         for i in 0..=a.len() {
             assert_eq!(lat.at(i, 0, 0), -4 * i as i32);
@@ -373,7 +301,7 @@ mod tests {
     #[test]
     fn memory_report() {
         let (a, b, c) = random_triple(1, 8);
-        let lat = fill(&a, &b, &c, &s());
+        let lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
         assert_eq!(
             lat.memory_bytes(),
             (a.len() + 1) * (b.len() + 1) * (c.len() + 1) * 4
@@ -381,19 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_fill_without_cancel_matches_plain() {
-        let (a, b, c) = random_triple(9, 12);
-        let token = CancelToken::never();
-        let al = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(al, align(&a, &b, &c, &s()));
-    }
-
-    #[test]
     fn pre_cancelled_fill_stops_with_zero_progress() {
         let (a, b, c) = random_triple(10, 12);
         let token = CancelToken::never();
         token.cancel();
-        let p = fill_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
+        let p = fill(&a, &b, &c, &s(), &token).unwrap_err();
         assert_eq!(p.cells_done, 0);
         assert_eq!(
             p.cells_total,

@@ -9,19 +9,16 @@
 //! two sub-problems; the half-volumes sum geometrically, so total work is
 //! at most ~2× the plain DP (experiment `table4` measures the real ratio).
 //!
-//! [`align_parallel`] additionally (a) computes the two faces with
-//! plane-parallel sweeps and (b) runs the two recursive halves as a
+//! With `parallel` set, the solver additionally (a) computes the two faces
+//! with plane-parallel sweeps and (b) runs the two recursive halves as a
 //! `rayon::join`, so parallelism is available at every level.
 
 use crate::alignment::{Alignment3, Column3};
 use crate::cancel::{CancelProgress, CancelToken};
 use crate::dp::NEG_INF;
 use crate::full;
-use crate::score_only::{
-    backward_face, backward_face_cancellable, backward_face_parallel,
-    backward_face_parallel_cancellable, forward_face, forward_face_cancellable,
-    forward_face_parallel, forward_face_parallel_cancellable, Face,
-};
+use crate::kernel::SimdKernel;
+use crate::sweep::{Face, Order, Sweep};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -31,10 +28,18 @@ use tsa_seq::Seq;
 /// quadratic in the remaining problem.
 const BASE_CASE_LEN: usize = 4;
 
-/// Optimal alignment, sequential divide and conquer, quadratic space.
+/// Optimal alignment by divide and conquer in quadratic space.
+///
+/// `parallel` selects plane-parallel face sweeps plus a parallel
+/// recursion; otherwise the faces are sequential slab sweeps. `kernel`
+/// is the SIMD row kernel of the face sweeps. The token is polled at
+/// every recursion node and once per slab or plane inside each face
+/// sweep; a fired token stops the solver with the cell updates made so
+/// far, out of an estimated total of twice the lattice (the halved
+/// sub-problems sum geometrically).
 ///
 /// ```
-/// use tsa_core::{full, hirschberg3};
+/// use tsa_core::{full, hirschberg3, CancelToken, SimdKernel};
 /// use tsa_scoring::Scoring;
 /// use tsa_seq::Seq;
 ///
@@ -42,206 +47,115 @@ const BASE_CASE_LEN: usize = 4;
 /// let a = Seq::dna("GATTACA").unwrap();
 /// let b = Seq::dna("GATACA").unwrap();
 /// let c = Seq::dna("GTTACA").unwrap();
-/// let dc = hirschberg3::align(&a, &b, &c, &s);
+/// let never = CancelToken::never();
+/// let dc = hirschberg3::align(&a, &b, &c, &s, false, SimdKernel::Auto, &never).unwrap();
 /// assert_eq!(dc.score, full::align_score(&a, &b, &c, &s));
 /// ```
-pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    solve(a, b, c, scoring, false, &mut columns);
-    finish(columns, scoring)
-}
-
-/// Optimal alignment, parallel divide and conquer (parallel faces +
-/// parallel recursion), quadratic space.
-pub fn align_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    solve_parallel(a, b, c, scoring, &mut columns);
-    finish(columns, scoring)
-}
-
-/// Score-equivalent entry point used when only the score is wanted but the
-/// caller asked for this algorithm anyway.
-pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    align(a, b, c, scoring).score
-}
-
-/// Cancellable sequential divide and conquer: the token is polled at
-/// every recursion node and once per `i`-slab inside each face sweep.
-pub fn align_cancellable(
+pub fn align(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
+    parallel: bool,
+    kernel: SimdKernel,
     cancel: &CancelToken,
 ) -> Result<Alignment3, CancelProgress> {
-    run_cancellable(a, b, c, scoring, false, cancel)
-}
-
-/// Cancellable parallel divide and conquer (parallel faces + parallel
-/// recursion); the token is polled per anti-diagonal plane of each face.
-pub fn align_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    run_cancellable(a, b, c, scoring, true, cancel)
+    let order = if parallel {
+        Order::Planes
+    } else {
+        Order::Slabs
+    };
+    let solver = Solver {
+        scoring,
+        faces: Sweep::new(order, kernel).cancel(cancel),
+        parallel,
+        cancel,
+        done: AtomicU64::new(0),
+    };
+    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
+    match solver.solve(a, b, c, &mut columns) {
+        Ok(()) => {
+            let mut aln = Alignment3::new(columns, 0);
+            aln.score = aln.rescore(scoring);
+            Ok(aln)
+        }
+        Err(()) => {
+            let cells_total = 2 * cube(a, b, c);
+            Err(CancelProgress {
+                cells_done: solver.done.into_inner().min(cells_total),
+                cells_total,
+            })
+        }
+    }
 }
 
 fn cube(a: &Seq, b: &Seq, c: &Seq) -> u64 {
     ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64
 }
 
-fn run_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
+/// The recursion's loop invariants plus its running cell count.
+struct Solver<'a> {
+    scoring: &'a Scoring,
+    faces: Sweep<'a>,
     parallel: bool,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let done = AtomicU64::new(0);
-    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    let outcome = if parallel {
-        solve_parallel_cancellable(a, b, c, scoring, cancel, &done, &mut columns)
-    } else {
-        solve_cancellable(a, b, c, scoring, cancel, &done, &mut columns)
-    };
-    match outcome {
-        Ok(()) => Ok(finish(columns, scoring)),
-        // Total work is input-dependent; ~2× the cube is the worst case
-        // (the halved sub-problems sum geometrically).
-        Err(()) => Err(CancelProgress {
-            cells_done: done.load(Ordering::Relaxed),
-            cells_total: 2 * cube(a, b, c),
-        }),
-    }
+    cancel: &'a CancelToken,
+    done: AtomicU64,
 }
 
-fn solve_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    done: &AtomicU64,
-    out: &mut Vec<Column3>,
-) -> Result<(), ()> {
-    if cancel.should_stop() {
-        return Err(());
-    }
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        done.fetch_add(cube(a, b, c), Ordering::Relaxed);
-        return Ok(());
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let f = match forward_face_cancellable(&a_lo, b, c, scoring, cancel) {
-        Ok(f) => {
-            done.fetch_add(cube(&a_lo, b, c), Ordering::Relaxed);
-            f
-        }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
+impl Solver<'_> {
+    fn solve(&self, a: &Seq, b: &Seq, c: &Seq, out: &mut Vec<Column3>) -> Result<(), ()> {
+        if self.cancel.should_stop() {
             return Err(());
         }
-    };
-    let r = match backward_face_cancellable(&a_hi, b, c, scoring, cancel) {
-        Ok(r) => {
-            done.fetch_add(cube(&a_hi, b, c), Ordering::Relaxed);
-            r
+        if a.len() <= BASE_CASE_LEN {
+            out.extend(full::align(a, b, c, self.scoring).columns);
+            self.done.fetch_add(cube(a, b, c), Ordering::Relaxed);
+            return Ok(());
         }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
+        let mid = a.len() / 2;
+        let a_lo = a.slice(0, mid);
+        let a_hi = a.slice(mid, a.len());
+        let forward = || self.faces.forward_face(&a_lo, b, c, self.scoring);
+        let backward = || self.faces.backward_face(&a_hi, b, c, self.scoring);
+        let (f, r) = if self.parallel {
+            rayon::join(forward, backward)
+        } else {
+            (forward(), backward())
+        };
+        // Account both halves before bailing: the sibling may have finished.
+        let (Some(f), Some(r)) = (
+            self.credit(f, cube(&a_lo, b, c)),
+            self.credit(r, cube(&a_hi, b, c)),
+        ) else {
             return Err(());
+        };
+        let w3 = c.len() + 1;
+        let split = best_split(&f, &r);
+        let (sj, sk) = (split / w3, split % w3);
+        let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
+        let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
+        if self.parallel {
+            let mut right: Vec<Column3> = Vec::new();
+            let (left_ok, right_ok) = rayon::join(
+                || self.solve(&a_lo, &b_lo, &c_lo, out),
+                || self.solve(&a_hi, &b_hi, &c_hi, &mut right),
+            );
+            left_ok?;
+            right_ok?;
+            out.extend(right);
+            Ok(())
+        } else {
+            self.solve(&a_lo, &b_lo, &c_lo, out)?;
+            self.solve(&a_hi, &b_hi, &c_hi, out)
         }
-    };
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    solve_cancellable(
-        &a_lo,
-        &b.slice(0, sj),
-        &c.slice(0, sk),
-        scoring,
-        cancel,
-        done,
-        out,
-    )?;
-    solve_cancellable(
-        &a_hi,
-        &b.slice(sj, b.len()),
-        &c.slice(sk, c.len()),
-        scoring,
-        cancel,
-        done,
-        out,
-    )
-}
-
-fn solve_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    done: &AtomicU64,
-    out: &mut Vec<Column3>,
-) -> Result<(), ()> {
-    if cancel.should_stop() {
-        return Err(());
     }
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        done.fetch_add(cube(a, b, c), Ordering::Relaxed);
-        return Ok(());
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (fr, rr) = rayon::join(
-        || forward_face_parallel_cancellable(&a_lo, b, c, scoring, cancel),
-        || backward_face_parallel_cancellable(&a_hi, b, c, scoring, cancel),
-    );
-    // Account both halves before bailing: the sibling may have finished.
-    let credit = |res: Result<Face, CancelProgress>, full_cells: u64| match res {
-        Ok(face) => {
-            done.fetch_add(full_cells, Ordering::Relaxed);
-            Some(face)
-        }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
-            None
-        }
-    };
-    let f = credit(fr, cube(&a_lo, b, c));
-    let r = credit(rr, cube(&a_hi, b, c));
-    let (Some(f), Some(r)) = (f, r) else {
-        return Err(());
-    };
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
-    let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
-    let mut right: Vec<Column3> = Vec::new();
-    let (left_ok, right_ok) = rayon::join(
-        || solve_parallel_cancellable(&a_lo, &b_lo, &c_lo, scoring, cancel, done, out),
-        || solve_parallel_cancellable(&a_hi, &b_hi, &c_hi, scoring, cancel, done, &mut right),
-    );
-    left_ok?;
-    right_ok?;
-    out.extend(right);
-    Ok(())
-}
 
-fn finish(columns: Vec<Column3>, scoring: &Scoring) -> Alignment3 {
-    let mut aln = Alignment3::new(columns, 0);
-    aln.score = aln.rescore(scoring);
-    aln
+    /// Count a face sweep's cell updates, complete or not.
+    fn credit(&self, face: Result<Face, CancelProgress>, full_cells: u64) -> Option<Face> {
+        let cells = face.as_ref().map_or_else(|p| p.cells_done, |_| full_cells);
+        self.done.fetch_add(cells, Ordering::Relaxed);
+        face.ok()
+    }
 }
 
 /// Pick the split column: argmax of `F + R`, ties broken toward the
@@ -259,79 +173,6 @@ fn best_split(f: &[i32], r: &[i32]) -> usize {
     best_idx
 }
 
-fn solve(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    parallel_faces: bool,
-    out: &mut Vec<Column3>,
-) {
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        return;
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (f, r) = if parallel_faces {
-        rayon::join(
-            || forward_face_parallel(&a_lo, b, c, scoring),
-            || backward_face_parallel(&a_hi, b, c, scoring),
-        )
-    } else {
-        (
-            forward_face(&a_lo, b, c, scoring),
-            backward_face(&a_hi, b, c, scoring),
-        )
-    };
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    solve(
-        &a_lo,
-        &b.slice(0, sj),
-        &c.slice(0, sk),
-        scoring,
-        parallel_faces,
-        out,
-    );
-    solve(
-        &a_hi,
-        &b.slice(sj, b.len()),
-        &c.slice(sk, c.len()),
-        scoring,
-        parallel_faces,
-        out,
-    );
-}
-
-fn solve_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, out: &mut Vec<Column3>) {
-    // Small problems: no point forking.
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        return;
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (f, r) = rayon::join(
-        || forward_face_parallel(&a_lo, b, c, scoring),
-        || backward_face_parallel(&a_hi, b, c, scoring),
-    );
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
-    let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
-    let mut right: Vec<Column3> = Vec::new();
-    rayon::join(
-        || solve_parallel(&a_lo, &b_lo, &c_lo, scoring, out),
-        || solve_parallel(&a_hi, &b_hi, &c_hi, scoring, &mut right),
-    );
-    out.extend(right);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,11 +182,24 @@ mod tests {
         Scoring::dna_default()
     }
 
+    fn run_dc(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, parallel: bool) -> Alignment3 {
+        align(
+            a,
+            b,
+            c,
+            scoring,
+            parallel,
+            SimdKernel::Auto,
+            &CancelToken::never(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn sequential_dc_matches_full_dp_on_randoms() {
         for seed in 0..15 {
             let (a, b, c) = random_triple(seed, 14);
-            let dc = align(&a, &b, &c, &s());
+            let dc = run_dc(&a, &b, &c, &s(), false);
             let opt = full::align_score(&a, &b, &c, &s());
             assert_eq!(dc.score, opt, "seed {seed}");
             dc.validate_scored(&a, &b, &c, &s())
@@ -357,7 +211,7 @@ mod tests {
     fn parallel_dc_matches_full_dp_on_randoms() {
         for seed in 0..15 {
             let (a, b, c) = random_triple(seed + 200, 14);
-            let dc = align_parallel(&a, &b, &c, &s());
+            let dc = run_dc(&a, &b, &c, &s(), true);
             let opt = full::align_score(&a, &b, &c, &s());
             assert_eq!(dc.score, opt, "seed {seed}");
             dc.validate_scored(&a, &b, &c, &s()).unwrap();
@@ -368,10 +222,10 @@ mod tests {
     fn family_workloads() {
         for seed in [1u64, 2, 3] {
             let (a, b, c) = family_triple(seed, 28);
-            let dc = align(&a, &b, &c, &s());
+            let dc = run_dc(&a, &b, &c, &s(), false);
             assert_eq!(dc.score, full::align_score(&a, &b, &c, &s()));
             dc.validate_scored(&a, &b, &c, &s()).unwrap();
-            let pdc = align_parallel(&a, &b, &c, &s());
+            let pdc = run_dc(&a, &b, &c, &s(), true);
             assert_eq!(pdc.score, dc.score);
             pdc.validate_scored(&a, &b, &c, &s()).unwrap();
         }
@@ -388,7 +242,7 @@ mod tests {
             (e.clone(), e.clone(), a.clone()),
             (a.clone(), a.clone(), e.clone()),
         ] {
-            let dc = align(&x, &y, &z, &s());
+            let dc = run_dc(&x, &y, &z, &s(), false);
             assert_eq!(dc.score, full::align_score(&x, &y, &z, &s()));
             dc.validate_scored(&x, &y, &z, &s()).unwrap();
         }
@@ -399,7 +253,7 @@ mod tests {
         for la in 0..=(BASE_CASE_LEN * 2 + 1) {
             let (raw, b, c) = random_triple(900 + la as u64, 12);
             let a = raw.slice(0, la.min(raw.len()));
-            let dc = align(&a, &b, &c, &s());
+            let dc = run_dc(&a, &b, &c, &s(), false);
             assert_eq!(dc.score, full::align_score(&a, &b, &c, &s()), "la={la}");
             dc.validate_scored(&a, &b, &c, &s()).unwrap();
         }
@@ -411,20 +265,9 @@ mod tests {
         let a = Seq::protein("MKWVTFISLLLLFSSAYS").unwrap();
         let b = Seq::protein("MKWVTFISLLFLFSSAYS").unwrap();
         let c = Seq::protein("MKWVTFSLLLLFSAYS").unwrap();
-        let dc = align(&a, &b, &c, &sc);
+        let dc = run_dc(&a, &b, &c, &sc, false);
         assert_eq!(dc.score, full::align_score(&a, &b, &c, &sc));
         dc.validate_scored(&a, &b, &c, &sc).unwrap();
-    }
-
-    #[test]
-    fn cancellable_dc_without_cancel_matches_plain() {
-        let (a, b, c) = family_triple(17, 20);
-        let token = CancelToken::never();
-        let dc = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(dc.score, full::align_score(&a, &b, &c, &s()));
-        dc.validate_scored(&a, &b, &c, &s()).unwrap();
-        let pdc = align_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(pdc.score, dc.score);
     }
 
     #[test]
@@ -433,7 +276,7 @@ mod tests {
         let token = CancelToken::never();
         token.cancel();
         for parallel in [false, true] {
-            let p = run_cancellable(&a, &b, &c, &s(), parallel, &token).unwrap_err();
+            let p = align(&a, &b, &c, &s(), parallel, SimdKernel::Auto, &token).unwrap_err();
             assert_eq!(p.cells_done, 0, "parallel={parallel}");
             assert!(p.cells_total > 0);
         }

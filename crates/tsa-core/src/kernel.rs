@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD row kernels for the score-only passes.
 //!
-//! The hot loops of [`crate::score_only`] update one lattice *row* at a
+//! The hot loops of [`crate::sweep`] update one lattice *row* at a
 //! time — `k = 0..=n3` at fixed `(i, j)` for the slab sweep, a contiguous
 //! `j`-run at fixed `i` on an anti-diagonal plane for the wavefront sweep.
 //! Both rows read all seven DP predecessors from unit-stride slices, so
@@ -21,7 +21,7 @@
 //! Dispatch is by [`SimdKernel`]: `auto` picks the widest instruction set
 //! the CPU reports at runtime (`AVX2` → `SSE2` → scalar), explicit requests
 //! degrade to the best available subset, and the scalar implementation in
-//! `score_only.rs` stays the reference the differential tests compare
+//! `sweep.rs` stays the reference the differential tests compare
 //! against. Non-`x86_64` targets always resolve to scalar.
 
 use tsa_scoring::Scoring;
@@ -36,7 +36,7 @@ pub enum SimdKernel {
     /// Pick the widest supported instruction set at runtime (the default).
     #[default]
     Auto,
-    /// The scalar reference loops, exactly as written in `score_only.rs`.
+    /// The scalar reference loops, exactly as written in `sweep.rs`.
     Scalar,
     /// 128-bit SSE2 lanes (4 cells per step; baseline on `x86_64`).
     Sse2,
@@ -357,7 +357,7 @@ pub(crate) fn slab_row(rk: ResolvedKernel, row: &SlabRow<'_>, cur_j: &mut [i32])
 }
 
 /// Scalar tail/fallback of the slab row: the exact recurrence of the
-/// reference loop in `score_only::compute_slab`, starting at `k = from`.
+/// reference loop in `sweep::compute_slab`, starting at `k = from`.
 #[inline(always)]
 pub(crate) fn slab_row_tail(row: &SlabRow<'_>, cur_j: &mut [i32], from: usize) {
     let n3 = row.sac.len();
@@ -381,7 +381,7 @@ fn slab_row_scalar(row: &SlabRow<'_>, cur_j: &mut [i32]) {
 /// Borrowed inputs of one interior plane row segment: `len` consecutive
 /// cells `(i, j, d−i−j)` for `j = js..js+len`, all with `i, j, k ≥ 1`.
 /// Predecessor slices come from the three previous plane buffers at the
-/// slot offsets worked out in `score_only::compute_plane_rows`.
+/// slot offsets worked out in `sweep::compute_plane_rows`.
 pub(crate) struct PlaneRow<'a> {
     /// Doubled linear gap penalty.
     pub g2: i32,

@@ -6,11 +6,9 @@
 //!
 //! | module | algorithm | output | time | space |
 //! |---|---|---|---|---|
-//! | [`full`] | sequential full-lattice DP | score + alignment | `O(n³)` | `O(n³)` |
+//! | [`full`] | sequential full-lattice DP (the slab sweep, every slab kept) | score + alignment | `O(n³)` | `O(n³)` |
 //! | [`wavefront`] | plane-parallel DP (rayon) | score + alignment | `O(n³/P)` | `O(n³)` |
-//! | [`blocked`] | tiled wavefront DP (barrier or dataflow) | score + alignment | `O(n³/P)` | `O(n³)` |
-//! | [`score_only`] | rolling-planes DP, sequential or parallel | score | `O(n³)` | `O(n²)` |
-//! | [`tiled`] | `t×t×t` tile-wavefront DP (rayon over tile planes, SIMD rows inside tiles) | score | `O(n³/P)` | `O(n³)` |
+//! | [`sweep`] | the exact sweep engine: slab, plane, or `t×t×t` tile order × SIMD kernel × cancel × checkpoint | score or face | `O(n³)` / `O(n³/P)` | `O(n²)` (tiles `O(n³)`) |
 //! | [`hirschberg3`] | 3D divide & conquer, sequential or parallel | score + alignment | `≤ 2·O(n³)` | `O(n²)` |
 //! | [`affine`] | quasi-natural affine-gap DP (Gotoh-style, 7 gap states) | score + alignment | `O(7²·n³)` | `O(7·n³)` |
 //! | [`carrillo_lipman`] | bound-pruned DP (skips cells no optimal path can cross) | score + alignment | `≪ O(n³)` for similar inputs | `O(n³)` |
@@ -39,7 +37,6 @@ pub mod aligner;
 pub mod alignment;
 pub mod anchored;
 pub mod banded3;
-pub mod blocked;
 pub mod bounds;
 pub mod cancel;
 pub mod carrillo_lipman;
@@ -52,9 +49,8 @@ pub mod hirschberg3;
 pub mod kernel;
 mod kernel_i16;
 pub mod local;
-pub mod score_only;
 pub mod stats;
-pub mod tiled;
+pub mod sweep;
 pub mod wavefront;
 
 pub use aligner::{Algorithm, AlignError, Aligner};

@@ -129,13 +129,14 @@ pub fn align_score_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32
     let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), 0);
     let best = AtomicI32::new(0);
     // SAFETY: one write per plane cell; reads from earlier planes.
-    run_cells_wavefront(e, |i, j, k| {
+    let cell = |i, j, k| {
         let v = local_cell(&kernel, i, j, k, |pi, pj, pk| unsafe {
             grid.get(e.index(pi, pj, pk))
         });
         unsafe { grid.set(e.index(i, j, k), v) };
         best.fetch_max(v, Ordering::Relaxed);
-    });
+    };
+    run_cells_wavefront(e, cell, || false).expect("no stop predicate");
     best.into_inner()
 }
 

@@ -14,74 +14,14 @@ use crate::dp::{Kernel, NEG_INF};
 use crate::full::{traceback, Lattice};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
-use tsa_wavefront::executor::{
-    run_cells_wavefront, run_cells_wavefront_cancellable, run_cells_wavefront_profiled,
-};
+use tsa_wavefront::executor::{run_cells_wavefront, run_cells_wavefront_profiled};
 use tsa_wavefront::plane::Extents;
 use tsa_wavefront::{PlaneProfile, SharedGrid};
 
-/// Fill the full lattice with plane-parallel execution.
-pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-
-    // SAFETY: each plane cell is written by exactly one kernel invocation
-    // (plane cells are distinct lattice cells); all reads target cells on
-    // planes d−1..d−3, completed before this plane starts (the executor
-    // joins between planes).
-    run_cells_wavefront(e, |i, j, k| {
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            grid.get(e.index(pi, pj, pk))
-        });
-        unsafe { grid.set(e.index(i, j, k), v) };
-    });
-
-    Lattice {
-        scores: grid.into_vec(),
-        extents: e,
-    }
-}
-
-/// Like [`fill`], but captures a per-plane [`PlaneProfile`] alongside the
-/// lattice. The scores are identical to [`fill`]'s — only the executor's
-/// intra-plane task split differs (explicit per-worker chunks, so each
-/// task can be timed), which the plane-disjointness contract makes
-/// observationally irrelevant.
-pub fn fill_profiled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> (Lattice, PlaneProfile) {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-
-    // SAFETY: same plane-disjointness contract as [`fill`].
-    let profile = run_cells_wavefront_profiled(e, |i, j, k| {
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            grid.get(e.index(pi, pj, pk))
-        });
-        unsafe { grid.set(e.index(i, j, k), v) };
-    });
-
-    (
-        Lattice {
-            scores: grid.into_vec(),
-            extents: e,
-        },
-        profile,
-    )
-}
-
-/// Optimal alignment via the profiled parallel fill; returns the
-/// alignment plus the per-plane timing profile.
-pub fn align_profiled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> (Alignment3, PlaneProfile) {
-    let (lat, profile) = fill_profiled(a, b, c, scoring);
-    (traceback(&lat, a, b, c, scoring), profile)
-}
-
-/// Like [`fill`], but polls `cancel` between anti-diagonal planes; a
-/// fired token aborts the sweep within one plane and reports progress.
-pub fn fill_cancellable(
+/// Fill the full lattice with plane-parallel execution, polling `cancel`
+/// between anti-diagonal planes: a fired token aborts the sweep within one
+/// plane and reports the progress made.
+pub fn fill(
     a: &Seq,
     b: &Seq,
     c: &Seq,
@@ -89,56 +29,82 @@ pub fn fill_cancellable(
     cancel: &CancelToken,
 ) -> Result<Lattice, CancelProgress> {
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
+    let e = Extents::new(a.len(), b.len(), c.len());
     let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-
-    // SAFETY: same plane-disjointness contract as [`fill`]; the executor
-    // only ever stops *between* planes, so every read still targets a
-    // fully completed plane.
-    run_cells_wavefront_cancellable(
+    // SAFETY: the executor runs each plane cell exactly once and joins
+    // between planes; it only ever stops *between* planes.
+    run_cells_wavefront(
         e,
-        |i, j, k| {
-            let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-                grid.get(e.index(pi, pj, pk))
-            });
-            unsafe { grid.set(e.index(i, j, k), v) };
-        },
+        |i, j, k| unsafe { cell(&kernel, &grid, e, i, j, k) },
         || cancel.should_stop(),
     )
     .map_err(|cells_done| CancelProgress {
         cells_done,
         cells_total: e.cells() as u64,
     })?;
-
     Ok(Lattice {
         scores: grid.into_vec(),
         extents: e,
     })
 }
 
-/// Like [`align`], but the fill aborts within one anti-diagonal plane of
-/// the token firing.
-pub fn align_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let lat = fill_cancellable(a, b, c, scoring, cancel)?;
-    Ok(traceback(&lat, a, b, c, scoring))
+/// Like [`fill`] run to completion, but captures a per-plane
+/// [`PlaneProfile`] alongside the lattice. The scores are identical to
+/// [`fill`]'s — only the executor's intra-plane task split differs
+/// (explicit per-worker chunks, so each task can be timed), which the
+/// plane-disjointness contract makes observationally irrelevant.
+pub fn fill_profiled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> (Lattice, PlaneProfile) {
+    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
+    let e = Extents::new(a.len(), b.len(), c.len());
+    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
+    // SAFETY: as in `fill` — one invocation per plane cell, joins between
+    // planes.
+    let profile =
+        run_cells_wavefront_profiled(e, |i, j, k| unsafe { cell(&kernel, &grid, e, i, j, k) });
+    let lattice = Lattice {
+        scores: grid.into_vec(),
+        extents: e,
+    };
+    (lattice, profile)
+}
+
+/// One lattice cell of the wavefront fill.
+///
+/// # Safety
+/// No other thread may touch cell `(i, j, k)` during the call, and every
+/// cell on planes `d−1..d−3` (`d = i + j + k`) must be complete — the
+/// plane-barrier executors guarantee both when each plane cell is
+/// computed by exactly one invocation.
+#[inline(always)]
+unsafe fn cell(
+    kernel: &Kernel<'_>,
+    grid: &SharedGrid<i32>,
+    e: Extents,
+    i: usize,
+    j: usize,
+    k: usize,
+) {
+    // SAFETY: predecessors lie on completed earlier planes (caller
+    // contract).
+    let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
+        grid.get(e.index(pi, pj, pk))
+    });
+    // SAFETY: this invocation owns cell (i, j, k) (caller contract).
+    unsafe { grid.set(e.index(i, j, k), v) };
 }
 
 /// Optimal three-sequence alignment via the parallel wavefront fill.
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let lat = fill(a, b, c, scoring);
-    traceback(&lat, a, b, c, scoring)
+    traceback(&uncancelled(a, b, c, scoring), a, b, c, scoring)
 }
 
 /// Parallel-fill optimal score.
 pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill(a, b, c, scoring).final_score()
+    uncancelled(a, b, c, scoring).final_score()
+}
+
+fn uncancelled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
+    fill(a, b, c, scoring, &CancelToken::never()).expect("a never-firing token cannot cancel")
 }
 
 #[cfg(test)]
@@ -155,8 +121,8 @@ mod tests {
     fn lattice_is_bit_identical_to_sequential() {
         for seed in 0..10 {
             let (a, b, c) = random_triple(seed, 14);
-            let seq_lat = full::fill(&a, &b, &c, &s());
-            let par_lat = fill(&a, &b, &c, &s());
+            let seq_lat = full::fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
+            let par_lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
             assert_eq!(seq_lat.scores, par_lat.scores, "seed {seed}");
         }
     }
@@ -211,29 +177,26 @@ mod tests {
     fn profiled_fill_is_bit_identical_and_accounts_for_all_cells() {
         let (a, b, c) = family_triple(7, 24);
         let (lat, profile) = fill_profiled(&a, &b, &c, &s());
-        assert_eq!(lat.scores, full::fill(&a, &b, &c, &s()).scores);
+        assert_eq!(
+            lat.scores,
+            full::fill(&a, &b, &c, &s(), &CancelToken::never())
+                .unwrap()
+                .scores
+        );
         assert_eq!(profile.total_items(), lat.extents.cells() as u64);
         assert_eq!(profile.samples.len(), lat.extents.num_planes());
-        let (al, _) = align_profiled(&a, &b, &c, &s());
-        assert_eq!(al, full::align(&a, &b, &c, &s()));
-    }
-
-    #[test]
-    fn cancellable_fill_without_cancel_is_bit_identical() {
-        let (a, b, c) = random_triple(4, 14);
-        let token = crate::CancelToken::never();
-        let lat = fill_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(lat.scores, full::fill(&a, &b, &c, &s()).scores);
-        let al = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(al, full::align(&a, &b, &c, &s()));
+        assert_eq!(
+            traceback(&lat, &a, &b, &c, &s()),
+            full::align(&a, &b, &c, &s())
+        );
     }
 
     #[test]
     fn pre_cancelled_fill_does_no_work() {
         let (a, b, c) = random_triple(6, 14);
-        let token = crate::CancelToken::never();
+        let token = CancelToken::never();
         token.cancel();
-        let p = fill_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
+        let p = fill(&a, &b, &c, &s(), &token).unwrap_err();
         assert_eq!(p.cells_done, 0);
         assert!(p.cells_total > 0);
     }

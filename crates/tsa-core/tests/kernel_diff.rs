@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tsa_core::checkpoint::{
     CheckpointConfig, CheckpointPolicy, CheckpointSink, FrontierSnapshot, MemorySink,
 };
-use tsa_core::{score_only, Algorithm, Aligner, CancelToken, DurableStop, SimdKernel};
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::{Algorithm, Aligner, CancelToken, DurableStop, SimdKernel};
 use tsa_scoring::{GapModel, Scoring, SubstMatrix};
 use tsa_seq::Seq;
 
@@ -56,11 +57,15 @@ fn protein(max_len: usize) -> impl Strategy<Value = Seq> {
 /// Both sweeps under every kernel must agree with the scalar slab
 /// reference exactly.
 fn assert_all_kernels_agree(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) {
-    let reference = score_only::score_slabs_with(a, b, c, scoring, SimdKernel::Scalar);
+    let reference = Sweep::new(Order::Slabs, SimdKernel::Scalar)
+        .score(a, b, c, scoring)
+        .unwrap();
     for k in KERNELS {
-        let slab = score_only::score_slabs_with(a, b, c, scoring, k);
+        let slab = Sweep::new(Order::Slabs, k).score(a, b, c, scoring).unwrap();
         assert_eq!(slab, reference, "slab kernel {k} diverged");
-        let plane = score_only::score_planes_parallel_with(a, b, c, scoring, k);
+        let plane = Sweep::new(Order::Planes, k)
+            .score(a, b, c, scoring)
+            .unwrap();
         assert_eq!(plane, reference, "plane kernel {k} diverged");
     }
 }
@@ -99,17 +104,18 @@ proptest! {
         c in dna(24),
     ) {
         let scoring = Scoring::dna_default();
-        let reference = score_only::score_slabs_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
+        let reference = Sweep::new(Order::Slabs, SimdKernel::Scalar).score(&a, &b, &c, &scoring).unwrap();
         let token = CancelToken::never();
         for k in KERNELS {
-            let slab =
-                score_only::score_slabs_cancellable_with(&a, &b, &c, &scoring, &token, k)
-                    .expect("never cancelled");
+            let slab = Sweep::new(Order::Slabs, k)
+                .cancel(&token)
+                .score(&a, &b, &c, &scoring)
+                .expect("never cancelled");
             prop_assert_eq!(slab, reference);
-            let plane = score_only::score_planes_parallel_cancellable_with(
-                &a, &b, &c, &scoring, &token, k,
-            )
-            .expect("never cancelled");
+            let plane = Sweep::new(Order::Planes, k)
+                .cancel(&token)
+                .score(&a, &b, &c, &scoring)
+                .expect("never cancelled");
             prop_assert_eq!(plane, reference);
         }
     }

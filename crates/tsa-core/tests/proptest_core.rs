@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tsa_core::anchored::{self, AnchorConfig};
-use tsa_core::{banded3, carrillo_lipman, center_star, full, local};
+use tsa_core::{banded3, carrillo_lipman, center_star, full, local, CancelToken};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn banded_adaptive_always_recovers_the_optimum(a in dna(10), b in dna(10), c in dna(10)) {
         let s = scoring();
-        let aln = banded3::align_adaptive(&a, &b, &c, &s);
+        let aln = banded3::align_adaptive(&a, &b, &c, &s, &CancelToken::never()).unwrap();
         prop_assert_eq!(aln.score, full::align_score(&a, &b, &c, &s));
         prop_assert!(aln.validate_scored(&a, &b, &c, &s).is_ok());
     }

@@ -9,7 +9,8 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tsa_core::{score_only, tiled, Algorithm, Aligner, CancelToken, SimdKernel};
+use tsa_core::sweep::{Order, Sweep};
+use tsa_core::{Algorithm, Aligner, CancelToken, DurableStop, SimdKernel};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
@@ -47,7 +48,7 @@ proptest! {
         let scoring = ["dna", "unit", "edit"][scoring_idx];
         let scoring = Scoring::by_name(scoring).expect("preset exists");
         let reference =
-            score_only::score_planes_parallel_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
+            Sweep::new(Order::Planes, SimdKernel::Scalar).score(&a, &b, &c, &scoring).unwrap();
         for k in [
             SimdKernel::Scalar,
             SimdKernel::Sse2,
@@ -56,7 +57,7 @@ proptest! {
             SimdKernel::Avx2I16,
             SimdKernel::Auto,
         ] {
-            let tiled_score = tiled::score_tiles_with(&a, &b, &c, &scoring, tile, k);
+            let tiled_score = Sweep::new(Order::Tiles { tile }, k).score(&a, &b, &c, &scoring).unwrap();
             prop_assert_eq!(
                 tiled_score,
                 reference,
@@ -91,18 +92,20 @@ proptest! {
         let (a, b, c) = (ragged(va, tile), ragged(vb, tile), ragged(vc, tile));
         let scoring = Scoring::dna_default();
         let reference =
-            score_only::score_planes_parallel_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
+            Sweep::new(Order::Planes, SimdKernel::Scalar).score(&a, &b, &c, &scoring).unwrap();
         let token = CancelToken::with_timeout(Duration::from_micros(delay_us));
-        match tiled::score_tiles_cancellable(&a, &b, &c, &scoring, tile, &token) {
+        let tiles = Sweep::new(Order::Tiles { tile }, SimdKernel::Auto);
+        match tiles.cancel(&token).score(&a, &b, &c, &scoring) {
             Ok(score) => prop_assert_eq!(score, reference),
-            Err(progress) => {
+            Err(DurableStop::Cancelled(progress)) => {
                 prop_assert!(progress.cells_done <= progress.cells_total);
                 let lattice = ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64;
                 prop_assert_eq!(progress.cells_total, lattice);
             }
+            Err(other) => prop_assert!(false, "unexpected stop: {other}"),
         }
         // Fresh run after the (possible) cancellation still agrees.
-        prop_assert_eq!(tiled::score_tiles(&a, &b, &c, &scoring, tile), reference);
+        prop_assert_eq!(tiles.score(&a, &b, &c, &scoring).unwrap(), reference);
     }
 }
 
@@ -115,8 +118,13 @@ fn pre_fired_token_stops_before_the_first_tile() {
     let scoring = Scoring::dna_default();
     let token = CancelToken::never();
     token.cancel();
-    let progress = tiled::score_tiles_cancellable(&a, &b, &c, &scoring, 8, &token)
+    let stop = Sweep::new(Order::Tiles { tile: 8 }, SimdKernel::Auto)
+        .cancel(&token)
+        .score(&a, &b, &c, &scoring)
         .expect_err("fired token must interrupt");
+    let DurableStop::Cancelled(progress) = stop else {
+        panic!("unexpected stop: {stop}");
+    };
     assert_eq!(progress.cells_done, 0, "no tile may have completed");
     assert!(progress.cells_total > 0);
 }
@@ -140,10 +148,13 @@ fn every_remainder_class_matches_untiled() {
             (1, 1, 2 * tile + 1),
         ] {
             let (a, b, c) = (make(la), make(lb), make(lc));
-            let reference =
-                score_only::score_planes_parallel_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
+            let reference = Sweep::new(Order::Planes, SimdKernel::Scalar)
+                .score(&a, &b, &c, &scoring)
+                .unwrap();
             assert_eq!(
-                tiled::score_tiles(&a, &b, &c, &scoring, tile),
+                Sweep::new(Order::Tiles { tile }, SimdKernel::Auto)
+                    .score(&a, &b, &c, &scoring)
+                    .unwrap(),
                 reference,
                 "tile {tile} over lengths ({la}, {lb}, {lc})"
             );

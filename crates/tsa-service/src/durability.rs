@@ -239,8 +239,18 @@ fn parse_alphabet(name: &str) -> Option<Alphabet> {
 }
 
 fn parse_algorithm(name: &str) -> Option<Algorithm> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    Algorithm::by_name(name, 16, threads)
+    Algorithm::by_name(name, 16)
+}
+
+/// Algorithm names older journals may carry that no longer parse. Their
+/// records are dropped at replay — neither preloaded nor re-run — and are
+/// not corruption, so they never count as quarantined.
+const RETIRED_ALGORITHMS: [&str; 2] = ["blocked", "dataflow"];
+
+fn names_retired_algorithm(v: &Value) -> bool {
+    v.get("algorithm")
+        .and_then(Value::as_str)
+        .is_some_and(|name| RETIRED_ALGORITHMS.contains(&name))
 }
 
 fn job_record(uid: &str, req: &AlignRequest) -> String {
@@ -423,6 +433,10 @@ fn replay_journal(path: &Path) -> io::Result<Replay> {
                     slot.gone = false;
                 }
             }
+            // A retired algorithm's result: the record parses no more,
+            // but nothing on disk was damaged. Its `job` record failed to
+            // parse too, so the slot is simply dropped.
+            "done" if names_retired_algorithm(&v) => {}
             "done" => match parse_done_record(&v) {
                 Some(done) if done_record_verified(&v, &done) => {
                     slot.done = Some(done);
@@ -843,6 +857,44 @@ mod tests {
         assert!(replay.completed.is_empty(), "never preloaded");
         assert_eq!(replay.inflight.len(), 1, "the job re-runs instead");
         assert_eq!(replay.inflight[0].uid, uid);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_algorithm_records_are_dropped_not_quarantined() {
+        let dir = tmp_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        let job = |uid: &str, algorithm: &str| {
+            format!(
+                r#"{{"ev":"job","uid":"{uid}","tag":"{uid}","a":"GATTACA","alpha_a":"DNA","b":"GATACA","alpha_b":"DNA","c":"GTTACA","alpha_c":"DNA","matrix":"dna","gap_kind":0,"gap_open":-2,"gap_extend":0,"algorithm":"{algorithm}","score_only":false}}"#
+            )
+        };
+        let done = |uid: &str, algorithm: &str| {
+            format!(
+                r#"{{"ev":"done","uid":"{uid}","score":26,"algorithm":"{algorithm}","ck":"0123456789abcdef","rows":["GATTACA","GA-TACA","G-TTACA"]}}"#
+            )
+        };
+        let journal = [
+            job("old-blocked", "blocked"),
+            done("old-blocked", "blocked"),
+            job("old-dataflow", "dataflow"),
+            done("old-dataflow", "dataflow"),
+            // An unresolved retired job is dropped too.
+            job("pending-blocked", "blocked"),
+            // A live job of a current algorithm still replays.
+            job("live", "wavefront"),
+        ]
+        .join("\n");
+        fs::write(dir.join("journal.ndjson"), journal + "\n").unwrap();
+
+        let (_, replay) = Durability::open(&dir, policy(), 64).unwrap();
+        assert_eq!(replay.quarantined, 0, "retired names are not corruption");
+        assert!(
+            replay.completed.is_empty(),
+            "retired results are not preloaded"
+        );
+        assert_eq!(replay.inflight.len(), 1, "only the live job re-runs");
+        assert_eq!(replay.inflight[0].uid, "live");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1553,6 +1553,23 @@ mod tests {
     }
 
     #[test]
+    fn only_jobs_that_run_a_simd_sweep_count_as_simd() {
+        if tsa_core::SimdKernel::Auto.resolve().is_scalar() {
+            return; // no SIMD on this host: nothing can count
+        }
+        let engine = Engine::start(small_config());
+        let (a, b, c) = triple("GATTACAGATTACA");
+        // A default alignment runs the scalar cell wavefront...
+        let align = AlignRequest::new("align", a.clone(), b.clone(), c.clone());
+        engine.submit(align).unwrap().wait().result().unwrap();
+        assert_eq!(engine.stats().simd_jobs, 0, "alignment ran no SIMD rows");
+        // ...while a score-only job runs the plane sweep's SIMD rows.
+        let score = AlignRequest::new("score", a, b, c).score_only(true);
+        engine.submit(score).unwrap().wait().result().unwrap();
+        assert_eq!(engine.shutdown().simd_jobs, 1);
+    }
+
+    #[test]
     fn governor_rejects_pinned_overbudget_algorithm() {
         let engine = Engine::start(ServiceConfig {
             memory_budget: Some(64 * 1024),

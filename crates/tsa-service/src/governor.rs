@@ -60,8 +60,6 @@ pub fn estimate(
         // as does the tile-wavefront score grid.
         Algorithm::FullDp
         | Algorithm::Wavefront
-        | Algorithm::Blocked { .. }
-        | Algorithm::BlockedDataflow { .. }
         | Algorithm::TileWavefront { .. }
         | Algorithm::CarrilloLipman
         | Algorithm::BandedAdaptive => (cube, memory::full_lattice(n1, n2, n3)),

@@ -249,15 +249,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                         ProtocolError::new(id_ref, "'tile' must be an integer >= 1")
                     })? as usize,
                 };
-            let threads = match obj.get("threads") {
-                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                Some(v) => v.as_u64().filter(|&t| t >= 1).ok_or_else(|| {
-                    ProtocolError::new(id_ref, "'threads' must be an integer >= 1")
-                })? as usize,
-            };
             let algorithm = match obj.get("algorithm").and_then(Value::as_str) {
                 None => Algorithm::Auto,
-                Some(name) => Algorithm::by_name(name, tile, threads).ok_or_else(|| {
+                Some(name) => Algorithm::by_name(name, tile).ok_or_else(|| {
                     ProtocolError::new(id_ref, format!("unknown algorithm '{name}'"))
                 })?,
             };
@@ -632,14 +626,8 @@ pub fn render_submit(req: &AlignRequest) -> Option<String> {
         .str("b", req.seqs[1].as_str())
         .str("c", req.seqs[2].as_str())
         .str("scoring", &scoring_key);
-    match req.algorithm {
-        Algorithm::Blocked { tile } | Algorithm::TileWavefront { tile } => {
-            obj = obj.u64("tile", tile as u64)
-        }
-        Algorithm::BlockedDataflow { tile, threads } => {
-            obj = obj.u64("tile", tile as u64).u64("threads", threads as u64);
-        }
-        _ => {}
+    if let Algorithm::TileWavefront { tile } = req.algorithm {
+        obj = obj.u64("tile", tile as u64);
     }
     obj = obj.str("algorithm", req.algorithm.name());
     if req.kernel != SimdKernel::Auto {
@@ -1275,18 +1263,7 @@ mod tests {
             "identity is preserved across the round trip"
         );
 
-        // Blocked algorithms carry their tile through the round trip.
-        let line = r#"{"op":"submit","id":"t","a":"ACGT","b":"ACG","c":"AGT",
-            "algorithm":"blocked","tile":8}"#;
-        let Request::Submit(req) = parse_request(line).unwrap() else {
-            panic!("expected submit");
-        };
-        let Request::Submit(again) = parse_request(&render_submit(&req).unwrap()).unwrap() else {
-            panic!("expected submit");
-        };
-        assert_eq!(again.algorithm, Algorithm::Blocked { tile: 8 });
-
-        // So do tile-wavefront jobs.
+        // Tile-wavefront jobs carry their tile through the round trip.
         let line = r#"{"op":"submit","id":"tw","a":"ACGT","b":"ACG","c":"AGT",
             "algorithm":"tile-wavefront","tile":16,"kernel":"avx2-i16"}"#;
         let Request::Submit(req) = parse_request(line).unwrap() else {

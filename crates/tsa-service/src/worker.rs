@@ -459,8 +459,17 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
                 .map_err(KernelErr::Align)
         }
     };
-    // What the CPU actually runs for this request (degradation applied).
-    let simd = job.kernel.resolve();
+    // The row kernel this job actually runs (degradation applied). Only
+    // a sweep — a score-only job's slab, plane or tile order, or a
+    // Hirschberg alignment's face sweeps — has SIMD rows; every other
+    // path runs scalar cells whatever the request asked for.
+    let swept = aligner
+        .sweep_order(job.a.len(), job.b.len(), job.c.len(), job.score_only)
+        .is_some();
+    let simd = match swept {
+        true => job.kernel.resolve(),
+        false => SimdKernel::Scalar.resolve(),
+    };
     if !simd.is_scalar() {
         stats.simd.inc();
     }

@@ -11,7 +11,7 @@
 //! caller's, typically a [`crate::SharedGrid`] written under the plane
 //! disjointness contract.
 
-use crate::plane::{plane_cells, plane_cells_vec, Extents};
+use crate::plane::{plane_cells, Extents};
 use crate::profile::{PlaneProfile, PlaneSample};
 use crate::tiles::TileGrid;
 use rayon::prelude::*;
@@ -22,44 +22,15 @@ use std::time::Instant;
 /// overhead negligible for the small early/late planes.
 const MIN_CELLS_PER_TASK: usize = 64;
 
-/// Run `kernel(i, j, k)` over every lattice cell in sequential wavefront
-/// order (plane by plane, cells in plane order). The sequential baseline
-/// for the parallel executors — and, because it visits cells in exactly the
-/// same order a parallel run could, a direct correctness oracle.
-pub fn run_cells_sequential(e: Extents, mut kernel: impl FnMut(usize, usize, usize)) {
-    for d in 0..e.num_planes() {
-        for (i, j, k) in plane_cells(e, d) {
-            kernel(i, j, k);
-        }
-    }
-}
-
 /// Run `kernel(i, j, k)` over every lattice cell with cell-level wavefront
 /// parallelism: all cells of a plane in parallel, a barrier between planes.
-pub fn run_cells_wavefront(e: Extents, kernel: impl Fn(usize, usize, usize) + Sync) {
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
-    for d in 0..e.num_planes() {
-        cells.clear();
-        cells.extend(plane_cells(e, d));
-        if cells.len() < MIN_CELLS_PER_TASK {
-            for &(i, j, k) in &cells {
-                kernel(i, j, k);
-            }
-        } else {
-            cells
-                .par_iter()
-                .with_min_len(MIN_CELLS_PER_TASK)
-                .for_each(|&(i, j, k)| kernel(i, j, k));
-        }
-    }
-}
-
-/// Like [`run_cells_wavefront`], but polls `should_stop` once per
-/// anti-diagonal plane (amortized-free: one check per `O(n²)` cells).
-/// When the predicate fires the sweep stops before starting the next
-/// plane and returns `Err(cells_completed)`; every plane that did start
-/// has fully finished, so storage written so far is consistent.
-pub fn run_cells_wavefront_cancellable(
+///
+/// `should_stop` is polled once per anti-diagonal plane (one check per
+/// `O(n²)` cells; pass `|| false` to run to completion). When it fires
+/// the sweep stops before starting the next plane and returns
+/// `Err(cells_completed)`; every plane that did start has fully finished,
+/// so storage written so far is consistent.
+pub fn run_cells_wavefront(
     e: Extents,
     kernel: impl Fn(usize, usize, usize) + Sync,
     mut should_stop: impl FnMut() -> bool,
@@ -87,9 +58,9 @@ pub fn run_cells_wavefront_cancellable(
     Ok(())
 }
 
-/// Like [`run_cells_wavefront`], but times every plane and returns a
-/// [`PlaneProfile`]: per plane, the wall-clock duration, the kernel time
-/// summed over tasks, and the longest single task.
+/// Like [`run_cells_wavefront`] run to completion, but times every plane
+/// and returns a [`PlaneProfile`]: per plane, the wall-clock duration, the
+/// kernel time summed over tasks, and the longest single task.
 ///
 /// To attribute time to tasks the plane is split into *explicit* chunks
 /// (one per worker, floored at [`MIN_CELLS_PER_TASK`] cells) rather than
@@ -156,90 +127,16 @@ pub fn run_cells_wavefront_profiled(
     }
 }
 
-/// Like [`run_tiles_wavefront`], but times every tile plane and returns
-/// a [`PlaneProfile`] with `tile` set to the grid's edge, so each
-/// sample's `items` counts tiles and the fitted `t_cell` is a per-tile
-/// cost. One task per tile — tiles are the scheduling unit, so `tasks`
-/// in each sample is exact.
-pub fn run_tiles_wavefront_profiled(
-    grid: &TileGrid,
-    kernel: impl Fn(usize, usize, usize) + Sync,
-) -> PlaneProfile {
-    let workers = rayon::current_num_threads().max(1);
-    let mut samples = Vec::with_capacity(grid.num_tile_planes());
-    for d in 0..grid.num_tile_planes() {
-        let tiles = grid.tiles_on_plane(d);
-        let started = Instant::now();
-        let (busy_ns, max_task_ns);
-        if tiles.len() == 1 {
-            let (ti, tj, tk) = tiles[0];
-            kernel(ti, tj, tk);
-            let ns = started.elapsed().as_nanos() as u64;
-            busy_ns = ns;
-            max_task_ns = ns;
-        } else {
-            let busy = AtomicU64::new(0);
-            let max_task = AtomicU64::new(0);
-            tiles.par_iter().for_each(|&(ti, tj, tk)| {
-                let t0 = Instant::now();
-                kernel(ti, tj, tk);
-                let ns = t0.elapsed().as_nanos() as u64;
-                busy.fetch_add(ns, Ordering::Relaxed);
-                max_task.fetch_max(ns, Ordering::Relaxed);
-            });
-            busy_ns = busy.into_inner();
-            max_task_ns = max_task.into_inner();
-        }
-        samples.push(PlaneSample {
-            plane: d,
-            items: tiles.len(),
-            tasks: tiles.len(),
-            wall_ns: started.elapsed().as_nanos() as u64,
-            busy_ns,
-            max_task_ns,
-        });
-    }
-    PlaneProfile {
-        workers,
-        tile: grid.tile(),
-        samples,
-    }
-}
-
-/// Run `kernel(ti, tj, tk)` over every tile in sequential tile-wavefront
-/// order.
-pub fn run_tiles_sequential(grid: &TileGrid, mut kernel: impl FnMut(usize, usize, usize)) {
-    for d in 0..grid.num_tile_planes() {
-        for (ti, tj, tk) in grid.tiles_on_plane(d) {
-            kernel(ti, tj, tk);
-        }
-    }
-}
-
 /// Run `kernel(ti, tj, tk)` over every tile with tile-level wavefront
 /// parallelism: all tiles of a tile plane in parallel, a barrier between
 /// tile planes. The kernel itself typically iterates its tile's cells
 /// sequentially (good cache locality).
-pub fn run_tiles_wavefront(grid: &TileGrid, kernel: impl Fn(usize, usize, usize) + Sync) {
-    for d in 0..grid.num_tile_planes() {
-        let tiles = grid.tiles_on_plane(d);
-        if tiles.len() == 1 {
-            let (ti, tj, tk) = tiles[0];
-            kernel(ti, tj, tk);
-        } else {
-            tiles
-                .par_iter()
-                .for_each(|&(ti, tj, tk)| kernel(ti, tj, tk));
-        }
-    }
-}
-
-/// Like [`run_tiles_wavefront`], but polls `should_stop` once per tile
-/// plane. When the predicate fires the sweep stops before starting the
-/// next tile plane and returns `Err(tiles_completed)`; every tile plane
-/// that did start has fully finished, so storage written so far is
-/// consistent.
-pub fn run_tiles_wavefront_cancellable(
+///
+/// `should_stop` is polled once per tile plane; when it fires the sweep
+/// stops before starting the next tile plane and returns
+/// `Err(tiles_completed)`. Every tile plane that did start has fully
+/// finished, so storage written so far is consistent.
+pub fn run_tiles_wavefront(
     grid: &TileGrid,
     kernel: impl Fn(usize, usize, usize) + Sync,
     mut should_stop: impl FnMut() -> bool,
@@ -263,31 +160,13 @@ pub fn run_tiles_wavefront_cancellable(
     Ok(())
 }
 
-/// Enumerate the cells of each plane once and hand the whole plane to
-/// `plane_fn` (sequentially w.r.t. other planes). Lets callers that want
-/// custom intra-plane strategies (e.g. chunking by `i`) reuse the plane
-/// iteration logic.
-pub fn for_each_plane(e: Extents, mut plane_fn: impl FnMut(usize, &[(usize, usize, usize)])) {
-    for d in 0..e.num_planes() {
-        let cells = plane_cells_vec(e, d);
-        plane_fn(d, &cells);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::SharedGrid;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A toy DP: v(i,j,k) = max of predecessors + 1 (v(0,0,0) = 0); the
-    /// value at (i,j,k) must equal i.max(j).max(k)... actually with all 7
-    /// predecessors available it's max(i,j,k) only if diagonal steps count
-    /// once; easier invariant: v = i+j+k is produced by summing the
-    /// *plane index* — we use v(i,j,k) = min over predecessors + 1 =
-    /// max(i,j,k) for the chess-king metric. Simplest robust check: fill
-    /// with i*1_000_000 + j*1_000 + k and verify every cell was written
-    /// exactly once.
+    /// Fill a small lattice and verify every cell was visited exactly once.
     fn check_visits_each_cell_once(run: impl Fn(Extents, &(dyn Fn(usize, usize, usize) + Sync))) {
         let e = Extents::new(6, 5, 7);
         let counts: Vec<AtomicUsize> = (0..e.cells()).map(|_| AtomicUsize::new(0)).collect();
@@ -300,13 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_visits_each_cell_once() {
-        check_visits_each_cell_once(|e, f| run_cells_sequential(e, f));
-    }
-
-    #[test]
     fn wavefront_visits_each_cell_once() {
-        check_visits_each_cell_once(|e, f| run_cells_wavefront(e, f));
+        check_visits_each_cell_once(|e, f| run_cells_wavefront(e, f, || false).unwrap());
     }
 
     #[test]
@@ -318,7 +192,7 @@ mod tests {
 
     #[test]
     fn profiled_king_distance_matches() {
-        king_distance_with(|e, _g, f| {
+        king_distance_with(|e, f| {
             run_cells_wavefront_profiled(e, f);
         });
     }
@@ -335,10 +209,8 @@ mod tests {
             assert!(s.tasks >= 1);
             assert!(s.busy_ns <= s.wall_ns.max(s.busy_ns)); // both recorded
         }
-        // Small planes run as a single task; the apex plane of a 10×8×9
-        // lattice has well over MIN_CELLS_PER_TASK cells, so at least one
-        // plane must have split (given >1 worker) or stayed single-task
-        // (1 worker) — either way tasks never exceeds worker count.
+        // Small planes run as a single task; split planes never exceed
+        // one task per worker (plus the remainder chunk).
         for s in &profile.samples {
             assert!(s.tasks <= profile.workers.max(1) + 1, "tasks {}", s.tasks);
         }
@@ -362,18 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_without_stop_behaves_like_plain() {
-        check_visits_each_cell_once(|e, f| {
-            run_cells_wavefront_cancellable(e, f, || false).unwrap()
-        });
-    }
-
-    #[test]
-    fn cancellable_stops_between_planes_and_reports_cells() {
+    fn stops_between_planes_and_reports_cells() {
         let e = Extents::new(6, 6, 6);
         let visited = AtomicUsize::new(0);
         let mut checks = 0;
-        let err = run_cells_wavefront_cancellable(
+        let err = run_cells_wavefront(
             e,
             |_, _, _| {
                 visited.fetch_add(1, Ordering::Relaxed);
@@ -390,37 +255,13 @@ mod tests {
         assert!((err as usize) < e.cells());
     }
 
-    #[test]
-    fn cancellable_king_distance_matches() {
-        king_distance_with(|e, _g, f| {
-            run_cells_wavefront_cancellable(e, f, || false).unwrap();
-        });
-    }
-
     /// King-move longest path: v(i,j,k) = 1 + max(valid predecessors),
-    /// v(0,0,0)=0 ⇒ v(i,j,k) == i+j+k (the longest path). Exercises true cross-plane
-    /// dependencies, so it fails if the barrier is broken.
-    fn king_distance_with(
-        run: impl Fn(Extents, &SharedGrid<i32>, &(dyn Fn(usize, usize, usize) + Sync)),
-    ) {
+    /// v(0,0,0)=0 ⇒ v(i,j,k) == i+j+k (the longest path). Exercises true
+    /// cross-plane dependencies, so it fails if the barrier is broken.
+    fn king_distance_with(run: impl Fn(Extents, &(dyn Fn(usize, usize, usize) + Sync))) {
         let e = Extents::new(9, 7, 8);
         let grid = SharedGrid::new(e.cells(), -1i32);
-        run(e, &grid, &|i, j, k| {
-            let mut best = -1i32;
-            for di in 0..=usize::from(i > 0) {
-                for dj in 0..=usize::from(j > 0) {
-                    for dk in 0..=usize::from(k > 0) {
-                        if di + dj + dk == 0 {
-                            continue;
-                        }
-                        let p = unsafe { grid.get(e.index(i - di, j - dj, k - dk)) };
-                        best = best.max(p);
-                    }
-                }
-            }
-            let v = if (i, j, k) == (0, 0, 0) { 0 } else { best + 1 };
-            unsafe { grid.set(e.index(i, j, k), v) };
-        });
+        run(e, &|i, j, k| king_cell(&grid, e, i, j, k));
         for i in 0..=9 {
             for j in 0..=7 {
                 for k in 0..=8 {
@@ -431,58 +272,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sequential_king_distance() {
-        king_distance_with(|e, _g, f| run_cells_sequential(e, f));
+    fn king_cell(grid: &SharedGrid<i32>, e: Extents, i: usize, j: usize, k: usize) {
+        let mut best = -1i32;
+        for di in 0..=usize::from(i > 0) {
+            for dj in 0..=usize::from(j > 0) {
+                for dk in 0..=usize::from(k > 0) {
+                    if di + dj + dk == 0 {
+                        continue;
+                    }
+                    best = best.max(unsafe { grid.get(e.index(i - di, j - dj, k - dk)) });
+                }
+            }
+        }
+        let v = if (i, j, k) == (0, 0, 0) { 0 } else { best + 1 };
+        unsafe { grid.set(e.index(i, j, k), v) };
     }
 
     #[test]
     fn wavefront_king_distance() {
-        king_distance_with(|e, _g, f| run_cells_wavefront(e, f));
+        king_distance_with(|e, f| run_cells_wavefront(e, f, || false).unwrap());
     }
 
     #[test]
     fn tile_wavefront_king_distance() {
-        let e = Extents::new(9, 7, 8);
-        let grid = SharedGrid::new(e.cells(), -1i32);
-        let tg = TileGrid::new(e, 3);
-        run_tiles_wavefront(&tg, |ti, tj, tk| {
-            let ((ilo, ihi), (jlo, jhi), (klo, khi)) = tg.cell_ranges(ti, tj, tk);
-            for i in ilo..=ihi {
-                for j in jlo..=jhi {
-                    for k in klo..=khi {
-                        let mut best = -1i32;
-                        for di in 0..=usize::from(i > 0) {
-                            for dj in 0..=usize::from(j > 0) {
-                                for dk in 0..=usize::from(k > 0) {
-                                    if di + dj + dk == 0 {
-                                        continue;
-                                    }
-                                    best = best
-                                        .max(unsafe { grid.get(e.index(i - di, j - dj, k - dk)) });
-                                }
+        king_distance_with(|e, f| {
+            let tg = TileGrid::new(e, 3);
+            run_tiles_wavefront(
+                &tg,
+                |ti, tj, tk| {
+                    let ((ilo, ihi), (jlo, jhi), (klo, khi)) = tg.cell_ranges(ti, tj, tk);
+                    for i in ilo..=ihi {
+                        for j in jlo..=jhi {
+                            for k in klo..=khi {
+                                f(i, j, k);
                             }
                         }
-                        let v = if (i, j, k) == (0, 0, 0) { 0 } else { best + 1 };
-                        unsafe { grid.set(e.index(i, j, k), v) };
                     }
-                }
-            }
+                },
+                || false,
+            )
+            .unwrap();
         });
-        for i in 0..=9 {
-            for j in 0..=7 {
-                for k in 0..=8 {
-                    assert_eq!(unsafe { grid.get(e.index(i, j, k)) }, (i + j + k) as i32);
-                }
-            }
-        }
     }
 
     #[test]
-    fn cancellable_tiles_without_stop_visit_all_tiles_once() {
+    fn tiles_without_stop_visit_all_tiles_once() {
         let tg = TileGrid::new(Extents::new(10, 8, 9), 4);
         let seen: Vec<AtomicUsize> = (0..tg.num_tiles()).map(|_| AtomicUsize::new(0)).collect();
-        run_tiles_wavefront_cancellable(
+        run_tiles_wavefront(
             &tg,
             |i, j, k| {
                 seen[tg.tile_index(i, j, k)].fetch_add(1, Ordering::Relaxed);
@@ -494,11 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_tiles_stop_between_tile_planes() {
+    fn tiles_stop_between_tile_planes() {
         let tg = TileGrid::new(Extents::new(11, 11, 11), 4);
         let visited = AtomicUsize::new(0);
         let mut checks = 0;
-        let err = run_tiles_wavefront_cancellable(
+        let err = run_tiles_wavefront(
             &tg,
             |_, _, _| {
                 visited.fetch_add(1, Ordering::Relaxed);
@@ -514,47 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_tiles_visit_all_tiles_and_record_the_edge() {
-        let tg = TileGrid::new(Extents::new(10, 8, 9), 4);
-        let seen: Vec<AtomicUsize> = (0..tg.num_tiles()).map(|_| AtomicUsize::new(0)).collect();
-        let profile = run_tiles_wavefront_profiled(&tg, |i, j, k| {
-            seen[tg.tile_index(i, j, k)].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        assert_eq!(profile.tile, 4);
-        assert_eq!(profile.samples.len(), tg.num_tile_planes());
-        assert_eq!(profile.total_items(), tg.num_tiles() as u64);
-        for (d, s) in profile.samples.iter().enumerate() {
-            assert_eq!(s.plane, d);
-            assert_eq!(s.items, tg.tiles_on_plane(d).len());
-            assert_eq!(s.tasks, s.items);
-        }
-        let text = profile.summary().to_string();
-        assert!(text.contains("tiles"), "{text}");
-    }
-
-    #[test]
-    fn tiles_sequential_visits_all_tiles_once() {
-        let tg = TileGrid::new(Extents::new(10, 10, 10), 4);
-        let mut seen = vec![0usize; tg.num_tiles()];
-        run_tiles_sequential(&tg, |i, j, k| seen[tg.tile_index(i, j, k)] += 1);
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn for_each_plane_in_order() {
-        let e = Extents::new(2, 2, 2);
-        let mut planes_seen = Vec::new();
-        for_each_plane(e, |d, cells| {
-            planes_seen.push(d);
-            for &(i, j, k) in cells {
-                assert_eq!(i + j + k, d);
-            }
-        });
-        assert_eq!(planes_seen, (0..e.num_planes()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn respects_installed_pool() {
         // Running inside a 2-thread pool must not deadlock and must still
         // produce correct results.
@@ -563,7 +359,7 @@ mod tests {
             .build()
             .unwrap();
         pool.install(|| {
-            king_distance_with(|e, _g, f| run_cells_wavefront(e, f));
+            king_distance_with(|e, f| run_cells_wavefront(e, f, || false).unwrap());
         });
     }
 }

@@ -14,18 +14,16 @@
 //!   enumerate *tile planes* (the coarse wavefront);
 //! * [`grid`] — [`grid::SharedGrid`], an unsafe-interior shared write buffer
 //!   for disjoint parallel writes into one allocation;
-//! * [`executor`] — a rayon plane-barrier executor;
+//! * [`executor`] — rayon plane-barrier executors over cells and tiles,
+//!   with a per-plane stop predicate;
 //! * [`profile`] — per-plane timing ([`profile::PlaneProfile`]) captured by
 //!   the profiled executor: occupancy, load imbalance, barrier overhead;
-//! * [`dataflow`] — a crossbeam counter-based dataflow executor (no global
-//!   barrier: a tile runs as soon as its own dependencies finish);
 //! * [`snapshot`] — versioned, checksummed binary frontier snapshots
 //!   ([`snapshot::FrontierSnapshot`]) for checkpoint/resume of rolling
 //!   sweeps;
 //! * [`stats`] — wavefront shape statistics (plane sizes, critical path,
 //!   maximum parallelism) consumed by the performance model.
 
-pub mod dataflow;
 pub mod diag;
 pub mod executor;
 pub mod grid;
@@ -35,7 +33,6 @@ pub mod simulate;
 pub mod snapshot;
 pub mod stats;
 pub mod tiles;
-pub mod trace;
 
 pub use grid::SharedGrid;
 pub use plane::PlaneIter;

@@ -102,8 +102,8 @@ impl TileGrid {
         plane_cells(Extents::new(self.t1 - 1, self.t2 - 1, self.t3 - 1), d).collect()
     }
 
-    /// Number of predecessor tiles of `(I, J, K)` — the dependency count
-    /// used by the dataflow executor.
+    /// Number of predecessor tiles of `(I, J, K)`: the in-degree of the
+    /// tile dependency DAG.
     pub fn num_predecessors(&self, ti: usize, tj: usize, tk: usize) -> usize {
         let mut n = 0;
         for di in 0..=usize::from(ti > 0) {

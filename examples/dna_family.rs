@@ -38,13 +38,9 @@ fn main() {
     let algorithms: &[(&str, Algorithm)] = &[
         ("sequential full DP", Algorithm::FullDp),
         ("parallel wavefront", Algorithm::Wavefront),
-        ("blocked (tile 16)", Algorithm::Blocked { tile: 16 }),
         (
-            "dataflow (tile 16)",
-            Algorithm::BlockedDataflow {
-                tile: 16,
-                threads: 4,
-            },
+            "tile wavefront (tile 16)",
+            Algorithm::TileWavefront { tile: 16 },
         ),
         ("hirschberg (O(n²) mem)", Algorithm::Hirschberg),
         ("parallel hirschberg", Algorithm::ParallelHirschberg),

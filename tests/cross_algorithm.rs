@@ -9,12 +9,8 @@ fn exact_algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::FullDp,
         Algorithm::Wavefront,
-        Algorithm::Blocked { tile: 4 },
-        Algorithm::Blocked { tile: 16 },
-        Algorithm::BlockedDataflow {
-            tile: 8,
-            threads: 2,
-        },
+        Algorithm::TileWavefront { tile: 4 },
+        Algorithm::TileWavefront { tile: 16 },
         Algorithm::Hirschberg,
         Algorithm::ParallelHirschberg,
     ]
@@ -62,21 +58,14 @@ fn exact_algorithms_agree_on_scores_and_validate() {
 
 #[test]
 fn full_lattice_family_produces_identical_tracebacks() {
-    // FullDp, Wavefront and both Blocked variants share the canonical
-    // tie-break, so their alignments are column-for-column identical.
+    // FullDp, Wavefront and TileWavefront share the canonical tie-break,
+    // so their alignments are column-for-column identical.
     for (a, b, c) in workloads() {
         let reference = Aligner::new()
             .algorithm(Algorithm::FullDp)
             .align3(&a, &b, &c)
             .unwrap();
-        for alg in [
-            Algorithm::Wavefront,
-            Algorithm::Blocked { tile: 8 },
-            Algorithm::BlockedDataflow {
-                tile: 8,
-                threads: 3,
-            },
-        ] {
+        for alg in [Algorithm::Wavefront, Algorithm::TileWavefront { tile: 8 }] {
             let aln = Aligner::new().algorithm(alg).align3(&a, &b, &c).unwrap();
             assert_eq!(aln.columns, reference.columns, "{alg:?}");
         }

@@ -8,8 +8,9 @@
 //! the curated workloads.
 
 use proptest::prelude::*;
+use three_seq_align::core::sweep::{Order, Sweep};
 use three_seq_align::core::{
-    affine, bounds, center_star, full, hirschberg3, score_only, wavefront,
+    affine, bounds, center_star, full, hirschberg3, wavefront, CancelToken, SimdKernel,
 };
 use three_seq_align::pairwise::{banded, gotoh, hirschberg as hirschberg2, nw, wavefront_par};
 use three_seq_align::prelude::*;
@@ -55,10 +56,15 @@ proptest! {
         let s = scoring();
         let reference = full::align_score(&a, &b, &c, &s);
         prop_assert_eq!(wavefront::align_score(&a, &b, &c, &s), reference);
-        prop_assert_eq!(score_only::score_slabs(&a, &b, &c, &s), reference);
-        prop_assert_eq!(score_only::score_planes_parallel(&a, &b, &c, &s), reference);
-        prop_assert_eq!(hirschberg3::align(&a, &b, &c, &s).score, reference);
-        prop_assert_eq!(hirschberg3::align_parallel(&a, &b, &c, &s).score, reference);
+        for order in [Order::Slabs, Order::Planes, Order::Tiles { tile: 4 }] {
+            let sweep = Sweep::new(order, SimdKernel::Auto);
+            prop_assert_eq!(sweep.score(&a, &b, &c, &s).unwrap(), reference);
+        }
+        for parallel in [false, true] {
+            let never = CancelToken::never();
+            let dc = hirschberg3::align(&a, &b, &c, &s, parallel, SimdKernel::Auto, &never);
+            prop_assert_eq!(dc.unwrap().score, reference);
+        }
     }
 
     #[test]
@@ -66,7 +72,8 @@ proptest! {
         let s = scoring();
         let aln = full::align(&a, &b, &c, &s);
         prop_assert!(aln.validate_scored(&a, &b, &c, &s).is_ok());
-        let dc = hirschberg3::align(&a, &b, &c, &s);
+        let never = CancelToken::never();
+        let dc = hirschberg3::align(&a, &b, &c, &s, false, SimdKernel::Auto, &never).unwrap();
         prop_assert!(dc.validate_scored(&a, &b, &c, &s).is_ok());
         prop_assert_eq!(dc.score, aln.score);
     }

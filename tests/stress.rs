@@ -3,8 +3,9 @@
 //! suites, at sizes where indexing bugs, overflow, and scheduling races
 //! would actually have room to show.
 
+use three_seq_align::core::sweep::{Order, Sweep};
 use three_seq_align::core::{
-    blocked, carrillo_lipman, full, hirschberg3, score_only, wavefront, Algorithm, Aligner,
+    carrillo_lipman, full, hirschberg3, wavefront, Algorithm, Aligner, CancelToken, SimdKernel,
 };
 use three_seq_align::prelude::*;
 
@@ -21,17 +22,12 @@ fn all_variants_agree_at_n128() {
     let (a, b, c) = big_triple(128, 1);
     let reference = full::align_score(&a, &b, &c, &scoring);
     assert_eq!(wavefront::align_score(&a, &b, &c, &scoring), reference);
-    assert_eq!(blocked::align_score(&a, &b, &c, &scoring, 16), reference);
-    assert_eq!(
-        blocked::fill_dataflow(&a, &b, &c, &scoring, 16, 4).final_score(),
-        reference
-    );
-    assert_eq!(score_only::score_slabs(&a, &b, &c, &scoring), reference);
-    assert_eq!(
-        score_only::score_planes_parallel(&a, &b, &c, &scoring),
-        reference
-    );
-    let dc = hirschberg3::align_parallel(&a, &b, &c, &scoring);
+    for order in [Order::Slabs, Order::Planes, Order::Tiles { tile: 16 }] {
+        let sweep = Sweep::new(order, SimdKernel::Auto);
+        assert_eq!(sweep.score(&a, &b, &c, &scoring).unwrap(), reference);
+    }
+    let never = CancelToken::never();
+    let dc = hirschberg3::align(&a, &b, &c, &scoring, true, SimdKernel::Auto, &never).unwrap();
     assert_eq!(dc.score, reference);
     dc.validate_scored(&a, &b, &c, &scoring).unwrap();
     let (cl, stats) = carrillo_lipman::align_score_with_stats(&a, &b, &c, &scoring);
@@ -47,11 +43,7 @@ fn tracebacks_identical_at_n96() {
     let reference = full::align(&a, &b, &c, &scoring);
     for alg in [
         Algorithm::Wavefront,
-        Algorithm::Blocked { tile: 16 },
-        Algorithm::BlockedDataflow {
-            tile: 16,
-            threads: 4,
-        },
+        Algorithm::TileWavefront { tile: 16 },
         Algorithm::CarrilloLipman,
     ] {
         let aln = Aligner::new()
@@ -73,11 +65,11 @@ fn very_asymmetric_lengths() {
     let b = three_seq_align::seq::gen::random_seq(Alphabet::Dna, 30, &mut rng);
     let c = three_seq_align::seq::gen::random_seq(Alphabet::Dna, 150, &mut rng);
     let reference = full::align_score(&a, &b, &c, &scoring);
-    assert_eq!(hirschberg3::align(&a, &b, &c, &scoring).score, reference);
-    assert_eq!(
-        score_only::score_planes_parallel(&a, &b, &c, &scoring),
-        reference
-    );
+    let never = CancelToken::never();
+    let dc = hirschberg3::align(&a, &b, &c, &scoring, false, SimdKernel::Auto, &never).unwrap();
+    assert_eq!(dc.score, reference);
+    let planes = Sweep::new(Order::Planes, SimdKernel::Auto);
+    assert_eq!(planes.score(&a, &b, &c, &scoring).unwrap(), reference);
 }
 
 #[test]
