@@ -14,13 +14,12 @@ use tsa_service::json::{escape, Value};
 
 /// Format version stamped into every baseline file.
 ///
-/// v2 added the i16 kernel variants and a `threads` column. Records
-/// measured at `threads = 1` keep their v1 ids (`dna-64-full-scalar`);
-/// multi-thread records append a `-t{N}` suffix. [`Baseline::decode`]
-/// still reads [`SCHEMA_V1`] files (every record defaulting to
-/// `threads = 1`), so diffing a fresh v2 run against a committed v1
-/// baseline gates all the ids the two matrices share — the regression
-/// gate stays non-vacuous across the migration.
+/// v2 added a `threads` column. Records measured at `threads = 1` keep
+/// their v1 ids (`dna-64-full-scalar`); multi-thread records append a
+/// `-t{N}` suffix. [`Baseline::decode`] still reads [`SCHEMA_V1`] files
+/// (every record defaulting to `threads = 1`), so diffing a fresh v2 run
+/// against a committed v1 baseline gates all the ids the two matrices
+/// share — the regression gate stays non-vacuous across the migration.
 pub const SCHEMA: &str = "tsa-bench/kernel-baseline/v2";
 
 /// The previous format version, still accepted by [`Baseline::decode`].
@@ -79,8 +78,7 @@ pub struct Record {
     pub n: u64,
     /// Algorithm name (`full`, `wavefront`).
     pub algorithm: String,
-    /// Requested kernel knob (`scalar`, `sse2`, `avx2`, `sse2-i16`,
-    /// `avx2-i16`, `auto`).
+    /// Requested kernel knob (`scalar`, `sse2`, `avx2`, `auto`).
     pub kernel: String,
     /// What the knob resolved to on the measuring host.
     pub resolved: String,

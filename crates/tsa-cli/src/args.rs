@@ -30,10 +30,9 @@ ALIGN OPTIONS:
     --algorithm <name>   auto | full | wavefront | tile-wavefront |
                          hirschberg | par-hirschberg | center-star |
                          carrillo-lipman | banded | anchored | affine       [auto]
-    --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2
-                         | sse2-i16 | avx2-i16                             [auto]
-                         (bit-identical scores; explicit requests degrade
-                         to the widest set the CPU supports)
+    --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2    [auto]
+                         (bit-identical scores; auto takes the widest set
+                         the CPU supports, and a request it lacks degrades)
     --tile <t>           tile edge for tile-wavefront                       [16]
     --threads <n>        rayon worker threads (default: all cores)
     --width <w>          output wrap width, 0 = no wrap                     [60]
@@ -59,7 +58,6 @@ SERVICE OPTIONS (tsa serve / tsa batch):
     --workers <n>        worker threads (0 = all cores)                     [0]
     --queue <n>          bounded queue capacity (backpressure beyond it)    [64]
     --cache <n>          result-cache entries, 0 disables                   [1024]
-    --kernel <k>         default SIMD kernel for jobs without one          [auto]
     --deadline-ms <ms>   default per-job deadline (absent = none)
     --memory-budget <b>  cap on estimated kernel bytes, per job and summed
                          over in-flight jobs; K/M/G suffixes accepted
@@ -111,7 +109,6 @@ CLUSTER OPTIONS (tsa cluster):
     --queue <n>          per-worker queue capacity                         [64]
     --cache <n>          per-worker result-cache entries                 [1024]
     --deadline-ms <ms>   default per-job deadline, per worker
-    --kernel <k>         default SIMD kernel, per worker                 [auto]
     --heartbeat-ms <ms>  supervisor health-check cadence                  [500]
     --breaker-threshold <n>  consecutive shard failures that trip its
                          circuit breaker; 0 disables breakers              [0]
@@ -232,7 +229,7 @@ pub struct AlignArgs {
     pub gap_affine: Option<(i32, i32)>,
     /// Algorithm name.
     pub algorithm: String,
-    /// SIMD kernel name: auto | scalar | sse2 | avx2 | sse2-i16 | avx2-i16.
+    /// SIMD kernel name: auto | scalar | sse2 | avx2.
     pub kernel: String,
     /// Tile edge for the tile-wavefront algorithm.
     pub tile: usize,
@@ -346,8 +343,6 @@ pub struct ServiceOpts {
     pub state_dir: Option<String>,
     /// DP planes between checkpoint snapshots.
     pub checkpoint_every: usize,
-    /// Default SIMD kernel for jobs that do not pin one.
-    pub kernel: String,
     /// Per-client token-bucket rate (jobs/second); `None` = unlimited.
     pub client_rate: Option<f64>,
     /// Per-client in-flight quota; `None` = unbounded.
@@ -372,7 +367,6 @@ impl Default for ServiceOpts {
             max_cells: None,
             state_dir: None,
             checkpoint_every: 32,
-            kernel: "auto".into(),
             client_rate: None,
             max_in_flight_per_client: None,
             flight_recorder: 0,
@@ -409,10 +403,6 @@ impl ServiceOpts {
                 if self.checkpoint_every == 0 {
                     return Err("--checkpoint-every must be >= 1".into());
                 }
-            }
-            "--kernel" => {
-                self.kernel = take_value(flag, it)?.clone();
-                parse_kernel(&self.kernel)?;
             }
             "--client-rate" => {
                 let rate: f64 = parse_num(flag, take_value(flag, it)?)?;
@@ -495,8 +485,6 @@ pub struct ClusterArgs {
     pub cache: Option<usize>,
     /// Default per-job deadline, per worker.
     pub deadline_ms: Option<u64>,
-    /// Default SIMD kernel, per worker.
-    pub kernel: Option<String>,
     /// Supervisor health-check cadence in milliseconds.
     pub heartbeat_ms: u64,
     /// Consecutive shard failures that trip its breaker; 0 disables.
@@ -536,7 +524,6 @@ impl Default for ClusterArgs {
             queue: None,
             cache: None,
             deadline_ms: None,
-            kernel: None,
             heartbeat_ms: 500,
             breaker_threshold: 0,
             breaker_cooldown_ms: 1000,
@@ -821,11 +808,6 @@ fn parse_cluster(argv: &[String]) -> Result<ClusterArgs, String> {
             }
             "--cache" => c.cache = Some(parse_num(flag, take_value(flag, &mut it)?)?),
             "--deadline-ms" => c.deadline_ms = Some(parse_num(flag, take_value(flag, &mut it)?)?),
-            "--kernel" => {
-                let kernel = take_value(flag, &mut it)?.clone();
-                parse_kernel(&kernel)?;
-                c.kernel = Some(kernel);
-            }
             "--heartbeat-ms" => {
                 c.heartbeat_ms = parse_num(flag, take_value(flag, &mut it)?)?;
                 if c.heartbeat_ms == 0 {
@@ -980,15 +962,13 @@ impl AlignArgs {
     /// Resolve the kernel name through the shared [`SimdKernel::by_name`]
     /// lookup.
     pub fn build_kernel(&self) -> Result<SimdKernel, String> {
-        parse_kernel(&self.kernel)
+        SimdKernel::by_name(&self.kernel).ok_or_else(|| {
+            format!(
+                "unknown kernel `{}` (want auto|scalar|sse2|avx2)",
+                self.kernel
+            )
+        })
     }
-}
-
-/// Shared `--kernel` name lookup for align and service flags.
-pub fn parse_kernel(name: &str) -> Result<SimdKernel, String> {
-    SimdKernel::by_name(name).ok_or_else(|| {
-        format!("unknown kernel `{name}` (want auto|scalar|sse2|avx2|sse2-i16|avx2-i16)")
-    })
 }
 
 #[cfg(test)]
@@ -1336,18 +1316,11 @@ mod tests {
         bad.kernel = "avx512".into();
         assert!(bad.build_kernel().is_err());
 
-        // Service flag: validated at parse time, shared by serve and batch.
-        let Command::Serve(s) = parse(&sv(&["serve", "--kernel", "avx2"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(s.service.kernel, "avx2");
-        let Command::Batch(b) = parse(&sv(&["batch", "--file", "x", "--kernel", "sse2"])).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(b.service.kernel, "sse2");
-        assert!(parse(&sv(&["serve", "--kernel", "mmx"])).is_err());
-        assert!(parse(&sv(&["serve", "--kernel"])).is_err());
+        // Served jobs always run `auto`: the service commands take no
+        // kernel flag.
+        assert!(parse(&sv(&["serve", "--kernel", "avx2"])).is_err());
+        assert!(parse(&sv(&["batch", "--file", "x", "--kernel", "sse2"])).is_err());
+        assert!(parse(&sv(&["cluster", "--kernel", "scalar"])).is_err());
     }
 
     #[test]
@@ -1387,8 +1360,6 @@ mod tests {
             "64",
             "--deadline-ms",
             "250",
-            "--kernel",
-            "scalar",
             "--heartbeat-ms",
             "100",
             "--batch",
@@ -1404,7 +1375,6 @@ mod tests {
         assert_eq!(c.queue, Some(16));
         assert_eq!(c.cache, Some(64));
         assert_eq!(c.deadline_ms, Some(250));
-        assert_eq!(c.kernel.as_deref(), Some("scalar"));
         assert_eq!(c.heartbeat_ms, 100);
         assert_eq!(c.batch.as_deref(), Some("-"));
     }
@@ -1422,7 +1392,6 @@ mod tests {
         assert!(parse(&sv(&["cluster", "--listen", "0:0", "--batch", "x.ndjson"])).is_err());
         assert!(parse(&sv(&["cluster", "--queue", "0"])).is_err());
         assert!(parse(&sv(&["cluster", "--heartbeat-ms", "0"])).is_err());
-        assert!(parse(&sv(&["cluster", "--kernel", "mmx"])).is_err());
         assert!(parse(&sv(&["cluster", "--bogus"])).is_err());
     }
 

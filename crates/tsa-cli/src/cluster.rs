@@ -20,7 +20,6 @@ pub fn run_cluster(c: ClusterArgs) -> Result<(), String> {
         queue: c.queue,
         cache: c.cache,
         deadline_ms: c.deadline_ms,
-        kernel: c.kernel.clone(),
         heartbeat: Duration::from_millis(c.heartbeat_ms),
         breaker_threshold: c.breaker_threshold,
         breaker_cooldown: Duration::from_millis(c.breaker_cooldown_ms),

@@ -57,11 +57,17 @@ fn engine_config(opts: &crate::args::ServiceOpts) -> ServiceConfig {
             .as_ref()
             .map(|r| tsa_service::Tracer::new(Arc::clone(r) as Arc<dyn tsa_service::SpanSink>)),
         recorder,
-        // The parser validated the name; fall back defensively anyway.
-        default_kernel: crate::args::parse_kernel(&opts.kernel)
-            .unwrap_or(tsa_core::SimdKernel::Auto),
         ..ServiceConfig::default()
     }
+}
+
+/// Write one line to stderr, best-effort. `eprintln!` panics once
+/// nothing reads stderr any more (an orphaned cluster worker,
+/// `tsa serve 2>&1 | head`), and a notice must never turn a clean drain
+/// into a crash or a hung server.
+fn notice(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// Install SIGINT/SIGTERM handlers that trip a flag, and a watcher
@@ -99,20 +105,21 @@ fn install_drain_signals(engine: &Arc<Engine>) {
         .name("tsa-drain-signal".into())
         .spawn(move || loop {
             if SIGNALLED.load(Ordering::SeqCst) {
-                eprintln!("# tsa serve: signal received, draining");
+                notice(format_args!("# tsa serve: signal received, draining"));
                 let stats = engine.drain();
-                eprintln!("{stats}");
+                notice(format_args!("{stats}"));
                 std::process::exit(0);
             }
             if DUMP.swap(false, Ordering::SeqCst) {
                 match engine.dump_traces() {
-                    Ok(Some(path)) => {
-                        eprintln!("# tsa serve: flight recorder dumped to {}", path.display())
-                    }
-                    Ok(None) => eprintln!(
+                    Ok(Some(path)) => notice(format_args!(
+                        "# tsa serve: flight recorder dumped to {}",
+                        path.display()
+                    )),
+                    Ok(None) => notice(format_args!(
                         "# tsa serve: SIGUSR1 ignored (needs --flight-recorder and --state-dir)"
-                    ),
-                    Err(e) => eprintln!("# tsa serve: trace dump failed: {e}"),
+                    )),
+                    Err(e) => notice(format_args!("# tsa serve: trace dump failed: {e}")),
                 }
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -158,7 +165,7 @@ fn run_serve(s: ServeArgs) -> Result<(), String> {
         None => tsa_service::serve_stdio(&engine),
     }
     .map_err(|e| format!("serve: {e}"))?;
-    eprintln!("{stats}");
+    notice(format_args!("{stats}"));
     Ok(())
 }
 

@@ -666,3 +666,63 @@ fn cluster_survives_sigkill_of_a_worker_mid_batch() {
     assert!(c.child.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Pids of live processes whose command line contains `needle` (zombies
+/// have an empty command line and never match).
+#[cfg(target_os = "linux")]
+fn processes_with_arg(needle: &str) -> Vec<u32> {
+    let own = std::process::id();
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|e| e.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|&pid| pid != own)
+        .filter(|pid| {
+            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+            String::from_utf8_lossy(&cmdline).contains(needle)
+        })
+        .collect()
+}
+
+/// Shutdown and drain reap every worker, including one the supervisor
+/// notices exiting mid-shutdown: once the coordinator has exited, no
+/// process may still serve one of its shard dirs. A 1 ms heartbeat makes
+/// the supervisor see the broadcast's exiting workers while the
+/// coordinator is still running.
+#[cfg(target_os = "linux")]
+#[test]
+fn shutdown_and_drain_leave_no_worker_behind() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    let dir = std::env::temp_dir().join(format!("tsa-cluster-orphans-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let needle = format!("{}/shard-", dir.display());
+    let ops = std::iter::repeat("shutdown").take(10).chain(["drain"]);
+    for (cycle, op) in ops.enumerate() {
+        let mut c = Cluster::spawn(&[
+            "--workers",
+            "2",
+            "--heartbeat-ms",
+            "1",
+            "--state-dir",
+            dir.to_str().unwrap(),
+        ]);
+        c.send(&format!(r#"{{"op":"{op}"}}"#));
+        let bye = c.next_matching(|v| v.get("op").and_then(Value::as_str) == Some(op));
+        assert_eq!(bye.get("ok").and_then(Value::as_bool), Some(true));
+        assert!(c.child.wait().unwrap().success(), "cycle {cycle}: {op}");
+        let orphans = processes_with_arg(&needle);
+        for &pid in &orphans {
+            // SAFETY: kill(2) on a leaked worker of this test's cluster.
+            unsafe { kill(pid as i32, 9) };
+        }
+        assert!(
+            orphans.is_empty(),
+            "cycle {cycle} ({op}): workers {orphans:?} outlived the coordinator"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

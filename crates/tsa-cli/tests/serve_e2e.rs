@@ -306,3 +306,47 @@ fn batch_command_runs_a_request_file() {
         "stderr was: {stderr}"
     );
 }
+
+/// `tsa serve` drains and exits on SIGTERM even when nothing reads its
+/// stderr any more — an orphaned cluster worker, `tsa serve 2>&1 | head`.
+/// Its drain notices are best-effort.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_and_exits_after_stderr_closes() {
+    use std::time::{Duration, Instant};
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tsa"))
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tsa serve");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut announce = String::new();
+    stderr.read_line(&mut announce).expect("read announce line");
+    assert!(
+        announce.starts_with("# tsa serve: listening on "),
+        "unexpected first stderr line {announce:?}"
+    );
+    drop(stderr);
+    // SAFETY: kill(2) on the child this test spawned and has not reaped.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll tsa serve") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("tsa serve was still running 10 s after SIGTERM with its stderr closed");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "drain must exit 0, got {status:?}");
+}

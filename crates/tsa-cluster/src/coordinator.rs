@@ -95,8 +95,6 @@ pub struct ClusterConfig {
     pub cache: Option<usize>,
     /// Per-worker default deadline.
     pub deadline_ms: Option<u64>,
-    /// Per-worker SIMD kernel pin.
-    pub kernel: Option<String>,
     /// Supervisor health-check cadence.
     pub heartbeat: Duration,
     /// Consecutive per-shard failures (disconnects, `failed` or
@@ -145,7 +143,6 @@ impl Default for ClusterConfig {
             queue: None,
             cache: None,
             deadline_ms: None,
-            kernel: None,
             heartbeat: Duration::from_millis(500),
             breaker_threshold: 0,
             breaker_cooldown: Duration::from_millis(1000),
@@ -335,6 +332,14 @@ pub struct Coordinator {
     lanes: Mutex<ControlLanes>,
     seq: AtomicU64,
     running: AtomicBool,
+    /// Raised when shutdown or drain begins. The broadcast makes workers
+    /// exit while `running` is still true; from then on the supervisor
+    /// must not respawn them, or the new worker outlives the cluster.
+    stopping: AtomicBool,
+    /// Held through every respawn, and by [`Coordinator::stop`] before
+    /// it reaps children, so `stop` never passes a member whose
+    /// replacement is still booting.
+    respawn_gate: Mutex<()>,
     events_tx: Sender<Event>,
     outbox: Mutex<Vec<(u64, String)>>,
     waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
@@ -389,6 +394,8 @@ impl Coordinator {
             lanes: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
             running: AtomicBool::new(true),
+            stopping: AtomicBool::new(false),
+            respawn_gate: Mutex::new(()),
             events_tx,
             outbox: Mutex::new(Vec::new()),
             waker: Mutex::new(None),
@@ -522,7 +529,6 @@ impl Coordinator {
             queue: self.config.queue,
             cache: self.config.cache,
             deadline_ms: self.config.deadline_ms,
-            kernel: self.config.kernel.clone(),
             client_rate: self.config.client_rate,
             max_in_flight_per_client: self.config.max_in_flight_per_client,
             flight_recorder: (self.config.flight_recorder > 0)
@@ -1343,6 +1349,10 @@ impl Coordinator {
     }
 
     fn respawn(&self, member: &Member) -> io::Result<()> {
+        let _gate = self.respawn_gate.lock().unwrap();
+        if self.stopping.load(Ordering::SeqCst) {
+            return Ok(());
+        }
         {
             let mut child = member.child.lock().unwrap();
             if let Some(c) = child.as_mut() {
@@ -1353,6 +1363,21 @@ impl Coordinator {
         }
         let binary = self.binary()?;
         let spawned = spawn_worker(&binary, member.shard, &self.spawn_options(member.shard))?;
+        {
+            let mut child = member.child.lock().unwrap();
+            if self.stopping.load(Ordering::SeqCst) {
+                // Shutdown began while this worker booted: reap it here
+                // instead of handing `stop` a child it may never see.
+                let mut orphan = spawned.child;
+                orphan.kill().ok();
+                orphan.wait().ok();
+                return Ok(());
+            }
+            member
+                .pid
+                .store(spawned.child.id() as u64, Ordering::SeqCst);
+            *child = Some(spawned.child);
+        }
         let generation = member.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let link = Arc::new(WorkerLink::connect(
             member.shard,
@@ -1360,11 +1385,7 @@ impl Coordinator {
             generation,
             self.events_tx.clone(),
         )?);
-        member
-            .pid
-            .store(spawned.child.id() as u64, Ordering::SeqCst);
         *member.addr.lock().unwrap() = spawned.addr;
-        *member.child.lock().unwrap() = Some(spawned.child);
         *member.link.lock().unwrap() = Some(link);
         member.alive.store(true, Ordering::SeqCst);
         self.handshake(member, Duration::from_secs(10))?;
@@ -1809,15 +1830,19 @@ impl Coordinator {
     /// op and render the final aggregate, leaving the coordinator
     /// running so the caller can still deliver the response line.
     fn broadcast_shutdown(&self, op: &'static str) -> String {
+        self.stopping.store(true, Ordering::SeqCst);
         let request = format!("{{\"op\":\"{op}\"}}");
         let rows = self.collect_control(&request, op, Duration::from_secs(60));
         self.render_aggregate(op, &rows)
     }
 
     /// The teardown half of [`Coordinator::shutdown`]: stop the event
-    /// loop and dispatcher, then reap spawned children.
-    fn stop(&self) {
+    /// loop and dispatcher, then reap spawned children. A second call
+    /// returns once the first has reaped them (both take `respawn_gate`).
+    pub(crate) fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
         self.running.store(false, Ordering::SeqCst);
+        let _gate = self.respawn_gate.lock().unwrap();
         for member in self.sorted_members() {
             if let Some(mut child) = member.child.lock().unwrap().take() {
                 let deadline = Instant::now() + Duration::from_secs(5);

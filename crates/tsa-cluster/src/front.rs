@@ -95,8 +95,9 @@ struct Conn {
 }
 
 /// Serve the cluster protocol on `listener` until the coordinator
-/// stops running (a `shutdown`/`drain` op). Blocks the calling thread.
-/// Uses the default [`FrontOptions`].
+/// stops running (a `shutdown`/`drain` op). Blocks the calling thread,
+/// and returns only once every spawned worker has been reaped. Uses the
+/// default [`FrontOptions`].
 pub fn serve_front(coordinator: &Arc<Coordinator>, listener: TcpListener) -> io::Result<()> {
     serve_front_with(coordinator, listener, FrontOptions::default())
 }
@@ -292,6 +293,9 @@ pub fn serve_front_with(
                     }
                 }
             }
+            // The control thread that answered the op is still reaping
+            // workers; wait for it, so the caller never exits first.
+            coordinator.stop();
             return Ok(());
         }
     }

@@ -104,7 +104,6 @@ pub struct SpawnOptions {
     pub queue: Option<usize>,
     pub cache: Option<usize>,
     pub deadline_ms: Option<u64>,
-    pub kernel: Option<String>,
     pub client_rate: Option<f64>,
     pub max_in_flight_per_client: Option<usize>,
     pub flight_recorder: Option<usize>,
@@ -146,9 +145,6 @@ pub fn spawn_worker(
     }
     if let Some(ms) = opts.deadline_ms {
         cmd.arg("--deadline-ms").arg(ms.to_string());
-    }
-    if let Some(k) = &opts.kernel {
-        cmd.arg("--kernel").arg(k);
     }
     if let Some(rate) = opts.client_rate {
         cmd.arg("--client-rate").arg(rate.to_string());

@@ -212,18 +212,16 @@ impl Aligner {
         self
     }
 
-    /// Select the SIMD kernel for the score-only inner loops (the
-    /// `kernel={scalar,auto,sse2,avx2}` knob). Every choice produces
-    /// bit-identical scores; requests the CPU cannot honor degrade to the
-    /// widest supported subset (see [`SimdKernel::resolve`]).
+    /// Select the SIMD row kernel of the sweeps (the
+    /// `kernel={auto,scalar,sse2,avx2}` knob). `Auto`, the default, is
+    /// what served jobs run; explicit kernels serve the differential
+    /// oracles, the benchmarks and `tsa align --kernel`. Every choice
+    /// produces bit-identical scores; requests the CPU cannot honor
+    /// degrade to the widest supported subset (see
+    /// [`SimdKernel::resolve`]).
     pub fn kernel(mut self, kernel: SimdKernel) -> Self {
         self.kernel = kernel;
         self
-    }
-
-    /// The configured SIMD kernel request.
-    pub fn kernel_choice(&self) -> SimdKernel {
-        self.kernel
     }
 
     /// The effective algorithm `Auto` would resolve to for these lengths.

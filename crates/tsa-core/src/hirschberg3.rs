@@ -5,7 +5,7 @@
 //! lattice face `i = m` at exactly one cell `(m, j, k)`, and that cell is
 //! an argmax of `F[j][k] + R[j][k]`, where `F` is the forward face of
 //! `(A[..m], B, C)` and `R` the backward face of `(A[m..], B, C)` — both
-//! computable in quadratic space ([`crate::score_only`]). Recurse on the
+//! computable in quadratic space ([`crate::sweep`]). Recurse on the
 //! two sub-problems; the half-volumes sum geometrically, so total work is
 //! at most ~2× the plain DP (experiment `table4` measures the real ratio).
 //!

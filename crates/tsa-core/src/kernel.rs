@@ -26,11 +26,12 @@
 
 use tsa_scoring::Scoring;
 
-/// Which SIMD implementation of the inner row kernels to use. This is the
-/// `kernel={scalar,auto,sse2,avx2,sse2-i16,avx2-i16}` knob exposed by the
-/// CLI (`--kernel`) and the batch-service protocol;
-/// [`SimdKernel::resolve`] maps a request to what the running CPU actually
-/// supports.
+/// Which SIMD implementation of the inner row kernels to use: the
+/// `kernel={auto,scalar,sse2,avx2}` knob of [`crate::Aligner::kernel`]
+/// and `tsa align --kernel`. Every kernel computes the same `i32`
+/// arithmetic, so the choice changes throughput only;
+/// [`SimdKernel::resolve`] maps a request to what the running CPU
+/// actually supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdKernel {
     /// Pick the widest supported instruction set at runtime (the default).
@@ -42,25 +43,17 @@ pub enum SimdKernel {
     Sse2,
     /// 256-bit AVX2 lanes (8 cells per step; runtime-detected).
     Avx2,
-    /// 128-bit SSE2 lanes over saturating `i16` (8 cells per step), with
-    /// per-row overflow detection and bit-identical fallback to [`Self::Sse2`].
-    Sse2I16,
-    /// 256-bit AVX2 lanes over saturating `i16` (16 cells per step), with
-    /// per-row overflow detection and bit-identical fallback to [`Self::Avx2`].
-    Avx2I16,
 }
 
 impl SimdKernel {
-    /// Look up a kernel by its canonical name — the spelling shared by the
-    /// CLI `--kernel` flag and the service protocol's `kernel` field.
+    /// Look up a kernel by its canonical name — the spelling of the
+    /// `tsa align --kernel` flag and the benchmark's row ids.
     pub fn by_name(name: &str) -> Option<SimdKernel> {
         Some(match name {
             "auto" => SimdKernel::Auto,
             "scalar" => SimdKernel::Scalar,
             "sse2" => SimdKernel::Sse2,
             "avx2" => SimdKernel::Avx2,
-            "sse2-i16" => SimdKernel::Sse2I16,
-            "avx2-i16" => SimdKernel::Avx2I16,
             _ => return None,
         })
     }
@@ -72,38 +65,27 @@ impl SimdKernel {
             SimdKernel::Scalar => "scalar",
             SimdKernel::Sse2 => "sse2",
             SimdKernel::Avx2 => "avx2",
-            SimdKernel::Sse2I16 => "sse2-i16",
-            SimdKernel::Avx2I16 => "avx2-i16",
         }
     }
 
     /// Resolve the request against the running CPU. `Auto` walks the
-    /// ladder `avx2-i16 → avx2 → sse2-i16 → sse2 → scalar` (an `i16`
-    /// variant subsumes its `i32` sibling: it falls back to the `i32`
-    /// lanes row-by-row whenever the narrow arithmetic could overflow, so
-    /// preferring it never loses correctness). Explicit requests degrade
-    /// gracefully (`avx2-i16` on a non-AVX2 part runs `sse2-i16`; any x86
-    /// request on a non-x86 target runs scalar). The effective choice is
-    /// what job spans and benchmarks record.
+    /// ladder `avx2 → sse2 → scalar`. Explicit requests degrade
+    /// gracefully (`avx2` on a non-AVX2 part runs `sse2`; any x86 request
+    /// on a non-x86 target runs scalar). The effective choice is what job
+    /// spans and benchmarks record.
     pub fn resolve(&self) -> ResolvedKernel {
         match self {
             SimdKernel::Scalar => ResolvedKernel(Resolved::Scalar),
-            SimdKernel::Auto | SimdKernel::Avx2I16 => {
-                if avx2_available() {
-                    ResolvedKernel(Resolved::Avx2I16)
+            SimdKernel::Auto | SimdKernel::Avx2 if avx2_available() => {
+                ResolvedKernel(Resolved::Avx2)
+            }
+            SimdKernel::Auto | SimdKernel::Avx2 | SimdKernel::Sse2 => {
+                if cfg!(target_arch = "x86_64") {
+                    ResolvedKernel(Resolved::Sse2)
                 } else {
-                    best_sse2_i16()
+                    ResolvedKernel(Resolved::Scalar)
                 }
             }
-            SimdKernel::Avx2 => {
-                if avx2_available() {
-                    ResolvedKernel(Resolved::Avx2)
-                } else {
-                    best_sse2()
-                }
-            }
-            SimdKernel::Sse2I16 => best_sse2_i16(),
-            SimdKernel::Sse2 => best_sse2(),
         }
     }
 
@@ -111,8 +93,8 @@ impl SimdKernel {
     pub fn is_native(&self) -> bool {
         match self {
             SimdKernel::Auto | SimdKernel::Scalar => true,
-            SimdKernel::Sse2 | SimdKernel::Sse2I16 => cfg!(target_arch = "x86_64"),
-            SimdKernel::Avx2 | SimdKernel::Avx2I16 => avx2_available(),
+            SimdKernel::Sse2 => cfg!(target_arch = "x86_64"),
+            SimdKernel::Avx2 => avx2_available(),
         }
     }
 }
@@ -133,22 +115,6 @@ fn avx2_available() -> bool {
     false
 }
 
-fn best_sse2() -> ResolvedKernel {
-    if cfg!(target_arch = "x86_64") {
-        ResolvedKernel(Resolved::Sse2)
-    } else {
-        ResolvedKernel(Resolved::Scalar)
-    }
-}
-
-fn best_sse2_i16() -> ResolvedKernel {
-    if cfg!(target_arch = "x86_64") {
-        ResolvedKernel(Resolved::Sse2I16)
-    } else {
-        ResolvedKernel(Resolved::Scalar)
-    }
-}
-
 /// The implementation a [`SimdKernel`] request resolved to on this CPU.
 ///
 /// Deliberately not constructible outside the crate: the SIMD entry points
@@ -163,52 +129,22 @@ pub(crate) enum Resolved {
     Scalar,
     Sse2,
     Avx2,
-    Sse2I16,
-    Avx2I16,
 }
 
 impl ResolvedKernel {
     /// The canonical name of the implementation that actually runs
-    /// (`"scalar"`, `"sse2"`, `"avx2"`, `"sse2-i16"`, or `"avx2-i16"`).
+    /// (`"scalar"`, `"sse2"`, or `"avx2"`).
     pub fn name(&self) -> &'static str {
         match self.0 {
             Resolved::Scalar => "scalar",
             Resolved::Sse2 => "sse2",
             Resolved::Avx2 => "avx2",
-            Resolved::Sse2I16 => "sse2-i16",
-            Resolved::Avx2I16 => "avx2-i16",
         }
     }
 
     /// True when this is the scalar reference implementation.
     pub fn is_scalar(&self) -> bool {
         self.0 == Resolved::Scalar
-    }
-
-    /// True when this implementation runs saturating `i16` lanes (with
-    /// automatic per-row fallback to the [`Self::widened`] `i32` lanes).
-    pub fn is_i16(&self) -> bool {
-        matches!(self.0, Resolved::Sse2I16 | Resolved::Avx2I16)
-    }
-
-    /// The `i32` sibling an `i16` kernel falls back to when a row's values
-    /// leave the exact-`i16` range (identity for the `i32` kernels).
-    pub(crate) fn widened(&self) -> ResolvedKernel {
-        match self.0 {
-            Resolved::Sse2I16 => ResolvedKernel(Resolved::Sse2),
-            Resolved::Avx2I16 => ResolvedKernel(Resolved::Avx2),
-            other => ResolvedKernel(other),
-        }
-    }
-
-    /// Lattice cells processed per SIMD step (1 for scalar).
-    pub fn lanes(&self) -> usize {
-        match self.0 {
-            Resolved::Scalar => 1,
-            Resolved::Sse2 => 4,
-            Resolved::Avx2 | Resolved::Sse2I16 => 8,
-            Resolved::Avx2I16 => 16,
-        }
     }
 }
 
@@ -279,9 +215,7 @@ impl Profiles {
 }
 
 /// Per-thread scratch for the plane-row kernel: the four per-cell score
-/// terms, prefilled scalar then consumed by vector loads. The `i16` rows
-/// (`s…`) are only filled on the narrow path ([`crate::kernel_i16`]); the
-/// `i32` rows only on the wide path — each row segment uses one set.
+/// terms, prefilled scalar then consumed by vector loads.
 #[derive(Default)]
 pub(crate) struct PlaneScratch {
     /// `sab + sac + sbc` (the δ=111 column score).
@@ -292,14 +226,6 @@ pub(crate) struct PlaneScratch {
     pub t101: Vec<i32>,
     /// `sbc + g2` (δ=011).
     pub t011: Vec<i32>,
-    /// Narrowed δ=111 terms.
-    pub s111: Vec<i16>,
-    /// Narrowed δ=110 terms.
-    pub s110: Vec<i16>,
-    /// Narrowed δ=101 terms.
-    pub s101: Vec<i16>,
-    /// Narrowed δ=011 terms.
-    pub s011: Vec<i16>,
 }
 
 impl PlaneScratch {
@@ -308,13 +234,6 @@ impl PlaneScratch {
         self.t110.resize(len, 0);
         self.t101.resize(len, 0);
         self.t011.resize(len, 0);
-    }
-
-    pub(crate) fn ensure_i16(&mut self, len: usize) {
-        self.s111.resize(len, 0);
-        self.s110.resize(len, 0);
-        self.s101.resize(len, 0);
-        self.s011.resize(len, 0);
     }
 }
 
@@ -348,9 +267,9 @@ pub(crate) fn slab_row(rk: ResolvedKernel, row: &SlabRow<'_>, cur_j: &mut [i32])
         // SAFETY: `Resolved::Sse2`/`Avx2` are only constructed by
         // `SimdKernel::resolve`, which checks the feature at runtime
         // (SSE2 is unconditionally part of the x86_64 baseline).
-        Resolved::Sse2 | Resolved::Sse2I16 => unsafe { x86::slab_row_sse2(row, cur_j) },
+        Resolved::Sse2 => unsafe { x86::slab_row_sse2(row, cur_j) },
         #[cfg(target_arch = "x86_64")]
-        Resolved::Avx2 | Resolved::Avx2I16 => unsafe { x86::slab_row_avx2(row, cur_j) },
+        Resolved::Avx2 => unsafe { x86::slab_row_avx2(row, cur_j) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => slab_row_scalar(row, cur_j),
     }
@@ -415,9 +334,9 @@ pub(crate) fn plane_row(rk: ResolvedKernel, row: &PlaneRow<'_>, out: &mut [i32])
         Resolved::Scalar => plane_row_tail(row, out, 0),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: see `slab_row` — resolution guarantees the feature.
-        Resolved::Sse2 | Resolved::Sse2I16 => unsafe { x86::plane_row_sse2(row, out) },
+        Resolved::Sse2 => unsafe { x86::plane_row_sse2(row, out) },
         #[cfg(target_arch = "x86_64")]
-        Resolved::Avx2 | Resolved::Avx2I16 => unsafe { x86::plane_row_avx2(row, out) },
+        Resolved::Avx2 => unsafe { x86::plane_row_avx2(row, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => plane_row_tail(row, out, 0),
     }
@@ -650,8 +569,6 @@ mod tests {
             SimdKernel::Scalar,
             SimdKernel::Sse2,
             SimdKernel::Avx2,
-            SimdKernel::Sse2I16,
-            SimdKernel::Avx2I16,
         ] {
             assert_eq!(SimdKernel::by_name(k.name()), Some(k));
             assert_eq!(format!("{k}"), k.name());
@@ -663,40 +580,24 @@ mod tests {
     #[test]
     fn resolution_is_sane() {
         let auto = SimdKernel::Auto.resolve();
-        assert!(["scalar", "sse2", "avx2", "sse2-i16", "avx2-i16"].contains(&auto.name()));
+        assert!(["scalar", "sse2", "avx2"].contains(&auto.name()));
         assert!(SimdKernel::Scalar.resolve().is_scalar());
-        assert_eq!(SimdKernel::Scalar.resolve().lanes(), 1);
-        assert!(auto.lanes() >= 1);
-        // Every resolution degrades to something that runs here.
-        for k in [
-            SimdKernel::Sse2,
-            SimdKernel::Avx2,
-            SimdKernel::Sse2I16,
-            SimdKernel::Avx2I16,
-        ] {
-            let r = k.resolve();
-            assert!(!r.name().is_empty());
-        }
         assert_eq!(format!("{auto}"), auto.name());
     }
 
+    /// The `auto` ladder is `avx2 → sse2 → scalar`, decided by the CPU alone.
     #[test]
-    fn auto_ladder_prefers_i16_over_its_i32_sibling() {
-        // On x86_64 the auto ladder lands on an i16 variant (whose per-row
-        // fallback IS the i32 sibling); elsewhere it resolves scalar.
+    fn auto_ladder_follows_the_cpu() {
         let auto = SimdKernel::Auto.resolve();
-        if cfg!(target_arch = "x86_64") {
-            assert!(auto.is_i16());
-            assert_eq!(auto.widened().lanes() * 2, auto.lanes());
+        if cfg!(target_arch = "x86_64") && avx2_available() {
+            assert_eq!(auto.name(), "avx2");
+        } else if cfg!(target_arch = "x86_64") {
+            assert_eq!(auto, SimdKernel::Sse2.resolve());
         } else {
             assert!(auto.is_scalar());
         }
-        // Widening is idempotent and maps each i16 kernel to its sibling.
-        for k in [SimdKernel::Sse2I16, SimdKernel::Avx2I16] {
-            let r = k.resolve();
-            assert_eq!(r.widened().widened(), r.widened());
-            assert!(!r.widened().is_i16());
-        }
+        // An explicit `avx2` request degrades exactly as `auto` does.
+        assert_eq!(SimdKernel::Avx2.resolve(), auto);
     }
 
     /// Random slab rows: every SIMD width must reproduce the scalar

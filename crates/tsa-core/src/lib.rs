@@ -47,7 +47,6 @@ pub mod format;
 pub mod full;
 pub mod hirschberg3;
 pub mod kernel;
-mod kernel_i16;
 pub mod local;
 pub mod stats;
 pub mod sweep;

@@ -36,9 +36,6 @@ use crate::dp::{Kernel, NEG_INF};
 use crate::kernel::{
     plane_row, slab_row, PlaneRow, PlaneScratch, Profiles, ResolvedKernel, SimdKernel, SlabRow,
 };
-use crate::kernel_i16::{
-    fits_i16, narrow_row, plane_row_i16, I16Profiles, PlaneRowI16, PlaneShadows, RowSel, SlabI16,
-};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,11 +257,6 @@ struct Ctx<'a> {
     /// Substitution profiles — built only when a SIMD kernel will consume
     /// them.
     prof: Option<Profiles>,
-    /// Narrowed `i16` profiles — only for an `i16` kernel, and only when
-    /// the scoring passes the narrow-range gate. `None` keeps the `i32`
-    /// rows (an `i16` [`ResolvedKernel`] then dispatches to its widened
-    /// sibling).
-    prof16: Option<I16Profiles>,
 }
 
 impl<'a> Ctx<'a> {
@@ -279,10 +271,6 @@ impl<'a> Ctx<'a> {
             rk,
             g2: 2 * scoring.gap_linear(),
             prof: (!rk.is_scalar()).then(|| Profiles::new(scoring, ra, rb, rc)),
-            prof16: rk
-                .is_i16()
-                .then(|| I16Profiles::new(scoring, ra, rb, rc))
-                .flatten(),
         }
     }
 }
@@ -407,7 +395,6 @@ fn slab_loop(ctx: &Ctx<'_>, poll: &mut Poll<'_>, slots: usize) -> Result<Vec<i32
     let (n1, n2, n3) = ctx.kernel.lens();
     let len = (n2 + 1) * (n3 + 1);
     let mut buf = vec![NEG_INF; slots * len];
-    let mut slab16 = ctx.prof16.as_ref().map(|_| SlabI16::new(n3 + 1));
     let prev_slot = |i: usize| (i + slots - 1) % slots;
     let (start, mut done) = match poll.resume()? {
         None => (0, 0),
@@ -437,7 +424,7 @@ fn slab_loop(ctx: &Ctx<'_>, poll: &mut Poll<'_>, slots: usize) -> Result<Vec<i32
         } else {
             &rest[(p - cur - 1) * len..][..len]
         };
-        compute_slab(ctx, i, prev_slab, cur_slab, &mut slab16);
+        compute_slab(ctx, i, prev_slab, cur_slab);
         done += len as u64;
         if i < n1 {
             poll.after(i + 1, done, || vec![buf[cur * len..][..len].to_vec()])?;
@@ -451,19 +438,8 @@ fn slab_loop(ctx: &Ctx<'_>, poll: &mut Poll<'_>, slots: usize) -> Result<Vec<i32
 /// stale (or freshly restored) `cur` buffer is fine.
 ///
 /// The scalar arm below is the reference the SIMD rows are
-/// property-tested against; `slab16` arms the saturating `i16` row path
-/// (with `ctx.prof16`), whose per-row fallback keeps the output
-/// bit-identical either way.
-fn compute_slab(
-    ctx: &Ctx<'_>,
-    i: usize,
-    prev: &[i32],
-    cur: &mut [i32],
-    slab16: &mut Option<SlabI16>,
-) {
-    if let Some(s16) = slab16.as_mut() {
-        s16.begin_slab();
-    }
+/// property-tested against.
+fn compute_slab(ctx: &Ctx<'_>, i: usize, prev: &[i32], cur: &mut [i32]) {
     let (_n1, n2, n3) = ctx.kernel.lens();
     let (ra, rb, rc, g2) = (ctx.ra, ctx.rb, ctx.rc, ctx.g2);
     let w3 = n3 + 1;
@@ -509,18 +485,7 @@ fn compute_slab(
                     prev_j: &prev[b10..b10 + w3],
                     cur_j1: &done[b01..b01 + w3],
                 };
-                match (&ctx.prof16, slab16.as_mut()) {
-                    (Some(p16), Some(s16)) => {
-                        let sel = RowSel {
-                            prof: p16,
-                            ai,
-                            bj,
-                            k_off: 0,
-                        };
-                        s16.row(ctx.rk, &sel, &row, &mut open[..w3]);
-                    }
-                    _ => slab_row(ctx.rk, &row, &mut open[..w3]),
-                }
+                slab_row(ctx.rk, &row, &mut open[..w3]);
             }
             None => {
                 for k in 1..=n3 {
@@ -554,9 +519,6 @@ fn plane_loop(
     let e = Extents::new(n1, n2, n3);
     let w2 = n2 + 1;
     let plane_len = (n1 + 1) * w2;
-    // Shadows start invalid; a resumed sweep (which restores only the
-    // `i32` buffers) re-arms them within three cleanly narrowed planes.
-    let shadows = ctx.prof16.as_ref().map(|_| PlaneShadows::new(plane_len));
     let mut buffers: [SharedGrid<i32>; 4] =
         std::array::from_fn(|_| SharedGrid::new(plane_len, NEG_INF));
     // Face at i = n1, filled as its cells are computed (only if wanted).
@@ -591,15 +553,11 @@ fn plane_loop(
         let step = PlaneStep {
             ctx,
             buffers: &buffers,
-            shadows: shadows.as_ref(),
             face: face.as_ref(),
             n1,
             n3,
             w2,
         };
-        if let Some(sh) = &shadows {
-            sh.begin_plane(d);
-        }
         done += compute_plane(&step, &mut scratch, e, d) as u64;
         if d + 1 < e.num_planes() {
             poll.after(d + 1, done, || plane_frontier(&mut buffers, d + 1))?;
@@ -621,9 +579,6 @@ fn plane_frontier(buffers: &mut [SharedGrid<i32>; 4], next: usize) -> Vec<Vec<i3
 struct PlaneStep<'a> {
     ctx: &'a Ctx<'a>,
     buffers: &'a [SharedGrid<i32>; 4],
-    /// The four `i16` shadow planes mirroring `buffers` — `Some` only when
-    /// `ctx.prof16` is.
-    shadows: Option<&'a PlaneShadows>,
     face: Option<&'a SharedGrid<i32>>,
     n1: usize,
     n3: usize,
@@ -661,7 +616,6 @@ fn compute_plane_cells(step: &PlaneStep<'_>, cells: &[(usize, usize, usize)], d:
         n1,
         n3,
         w2,
-        ..
     } = *step;
     let slot = |i: usize, j: usize| i * w2 + j;
     let target = &buffers[d % 4];
@@ -728,7 +682,6 @@ fn plane_row_segmented(
     let PlaneStep {
         ctx,
         buffers,
-        shadows,
         face,
         n1,
         n3,
@@ -738,17 +691,11 @@ fn plane_row_segmented(
     let target = &buffers[d % 4];
     // SAFETY: as in `compute_plane_cells` — writes land in this row's own
     // target slots, reads come from the three previous planes' buffers.
-    // Shadow writes mirror target writes slot for slot.
     let cell = |i: usize, j: usize, k: usize| {
         let v = ctx.kernel.cell(i, j, k, |pi, pj, pk| unsafe {
             buffers[(pi + pj + pk) % 4].get(slot(pi, pj))
         });
         unsafe { target.set(slot(i, j), v) };
-        if let Some(sh) = shadows {
-            let nv = v.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
-            unsafe { sh.buf(d).set(slot(i, j), nv) };
-            sh.record(d, fits_i16(v));
-        }
         if i == n1 {
             if let Some(f) = face {
                 unsafe { f.set(j * (n3 + 1) + k, v) };
@@ -776,98 +723,47 @@ fn plane_row_segmented(
     let len = je - js + 1;
     let (rb, rc, g2, rk) = (ctx.rb, ctx.rc, ctx.g2, ctx.rk);
     let ai = ctx.ra[i - 1];
-    // The narrow path runs when the `i16` machinery is armed and all three
-    // predecessor shadow planes narrowed cleanly; otherwise the `i32`
-    // kernel runs and (when shadows exist) its output is narrowed back so
-    // validity recovers on the next plane.
-    let narrow = match (&ctx.prof16, shadows) {
-        (Some(p16), Some(sh)) if sh.preds_valid(d) => Some((p16, sh)),
-        _ => None,
-    };
-    // SAFETY: the predecessor slices view earlier planes' buffers (and
-    // shadow buffers), fully written before this plane began and never
-    // written during it; the output slices cover exactly this row's target
-    // (and shadow) slots, disjoint from every other row of the plane.
-    // Slice bounds stay inside the buffers: slots run from
-    // (i−1)·w2 + js−1 to i·w2 + je ≤ (n1+1)·w2 − 1.
+    scratch.ensure(len);
+    let (pab, pac) = (prof.ab(ai), prof.ac(ai));
+    for (x, j) in (js..=je).enumerate() {
+        let k = d - i - j;
+        let sab = pab[j - 1];
+        let sac = pac[k - 1];
+        let sbc = ctx.scoring.sub(rb[j - 1], rc[k - 1]);
+        scratch.t111[x] = sab + sac + sbc;
+        scratch.t110[x] = sab + g2;
+        scratch.t101[x] = sac + g2;
+        scratch.t011[x] = sbc + g2;
+    }
+    // Interior cells have d = i + j + k ≥ 3, so planes d−1..d−3 exist and
+    // occupy the three rotation slots the target (d mod 4) doesn't.
+    let p1 = &buffers[(d - 1) % 4];
+    let p2 = &buffers[(d - 2) % 4];
+    let p3 = &buffers[(d - 3) % 4];
+    // SAFETY: the predecessor slices view earlier planes' buffers, fully
+    // written before this plane began and never written during it; the
+    // output slice covers exactly this row's target slots, disjoint from
+    // every other row of the plane. Slice bounds stay inside the buffers:
+    // slots run from (i−1)·w2 + js−1 to i·w2 + je ≤ (n1+1)·w2 − 1.
     unsafe {
+        let sl =
+            |g: &SharedGrid<i32>, at: usize| std::slice::from_raw_parts(g.as_ptr().add(at), len);
+        let row = PlaneRow {
+            g2,
+            t111: &scratch.t111[..len],
+            t110: &scratch.t110[..len],
+            t101: &scratch.t101[..len],
+            t011: &scratch.t011[..len],
+            p3_111: sl(p3, slot(i - 1, js - 1)),
+            p2_110: sl(p2, slot(i - 1, js - 1)),
+            p2_101: sl(p2, slot(i - 1, js)),
+            p2_011: sl(p2, slot(i, js - 1)),
+            p1_100: sl(p1, slot(i - 1, js)),
+            p1_010: sl(p1, slot(i, js - 1)),
+            p1_001: sl(p1, slot(i, js)),
+        };
         let out = std::slice::from_raw_parts_mut(target.as_ptr().add(slot(i, js)), len);
-        if let Some((p16, sh)) = narrow {
-            scratch.ensure_i16(len);
-            let ng2 = p16.g2();
-            let (pab, pac) = (p16.ab16(ai), p16.ac16(ai));
-            for (x, j) in (js..=je).enumerate() {
-                let k = d - i - j;
-                let sab = pab[j - 1];
-                let sac = pac[k - 1];
-                let sbc = p16.bc16(rb[j - 1])[k - 1];
-                scratch.s111[x] = sab + sac + sbc;
-                scratch.s110[x] = sab + ng2;
-                scratch.s101[x] = sac + ng2;
-                scratch.s011[x] = sbc + ng2;
-            }
-            let sl = |g: &SharedGrid<i16>, at: usize| {
-                std::slice::from_raw_parts(g.as_ptr().add(at), len)
-            };
-            let row = PlaneRowI16 {
-                g2: ng2,
-                t111: &scratch.s111[..len],
-                t110: &scratch.s110[..len],
-                t101: &scratch.s101[..len],
-                t011: &scratch.s011[..len],
-                p3_111: sl(sh.buf(d - 3), slot(i - 1, js - 1)),
-                p2_110: sl(sh.buf(d - 2), slot(i - 1, js - 1)),
-                p2_101: sl(sh.buf(d - 2), slot(i - 1, js)),
-                p2_011: sl(sh.buf(d - 2), slot(i, js - 1)),
-                p1_100: sl(sh.buf(d - 1), slot(i - 1, js)),
-                p1_010: sl(sh.buf(d - 1), slot(i, js - 1)),
-                p1_001: sl(sh.buf(d - 1), slot(i, js)),
-            };
-            let out16 = std::slice::from_raw_parts_mut(sh.buf(d).as_ptr().add(slot(i, js)), len);
-            sh.record(d, plane_row_i16(rk, &row, out, out16));
-        } else {
-            scratch.ensure(len);
-            let (pab, pac) = (prof.ab(ai), prof.ac(ai));
-            for (x, j) in (js..=je).enumerate() {
-                let k = d - i - j;
-                let sab = pab[j - 1];
-                let sac = pac[k - 1];
-                let sbc = ctx.scoring.sub(rb[j - 1], rc[k - 1]);
-                scratch.t111[x] = sab + sac + sbc;
-                scratch.t110[x] = sab + g2;
-                scratch.t101[x] = sac + g2;
-                scratch.t011[x] = sbc + g2;
-            }
-            // Interior cells have d = i + j + k ≥ 3, so planes d−1..d−3
-            // exist and occupy the three rotation slots the target
-            // (d mod 4) doesn't.
-            let p1 = &buffers[(d - 1) % 4];
-            let p2 = &buffers[(d - 2) % 4];
-            let p3 = &buffers[(d - 3) % 4];
-            let sl = |g: &SharedGrid<i32>, at: usize| {
-                std::slice::from_raw_parts(g.as_ptr().add(at), len)
-            };
-            let row = PlaneRow {
-                g2,
-                t111: &scratch.t111[..len],
-                t110: &scratch.t110[..len],
-                t101: &scratch.t101[..len],
-                t011: &scratch.t011[..len],
-                p3_111: sl(p3, slot(i - 1, js - 1)),
-                p2_110: sl(p2, slot(i - 1, js - 1)),
-                p2_101: sl(p2, slot(i - 1, js)),
-                p2_011: sl(p2, slot(i, js - 1)),
-                p1_100: sl(p1, slot(i - 1, js)),
-                p1_010: sl(p1, slot(i, js - 1)),
-                p1_001: sl(p1, slot(i, js)),
-            };
-            plane_row(rk, &row, out);
-            if let Some(sh) = shadows {
-                let out16 =
-                    std::slice::from_raw_parts_mut(sh.buf(d).as_ptr().add(slot(i, js)), len);
-                sh.record(d, narrow_row(rk, out, out16));
-            }
-        }
+        plane_row(rk, &row, out);
     }
     if i == n1 {
         if let Some(f) = face {
@@ -927,9 +823,6 @@ thread_local! {
     /// Per-thread row buffer: rows are computed here and copied back so no
     /// write ever leaves the tile (see [`tile_loop`]).
     static ROWBUF: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread `i16` mirror state, recreated when a pass needs larger
-    /// rows than the last one.
-    static SLAB16: RefCell<Option<(usize, SlabI16)>> = const { RefCell::new(None) };
 }
 
 /// Compute every cell of one tile, adding finished tile rows to
@@ -975,103 +868,67 @@ fn compute_tile(
     let kb = klo.max(1) - 1;
     let w = khi - kb + 1;
     ROWBUF.with(|rb| {
-        SLAB16.with(|sl| {
-            let mut rowbuf = rb.borrow_mut();
-            if rowbuf.len() < w {
-                rowbuf.resize(w, 0);
+        let mut rowbuf = rb.borrow_mut();
+        if rowbuf.len() < w {
+            rowbuf.resize(w, 0);
+        }
+        for i in ilo..=ihi {
+            if stop() {
+                return;
             }
-            let mut slab_store = sl.borrow_mut();
-            if ctx.prof16.is_some() {
-                let cap = tg.tile() + 1;
-                if !matches!(&*slab_store, Some((c, _)) if *c >= cap) {
-                    *slab_store = Some((cap, SlabI16::new(cap)));
-                }
-            }
-            let mut slab16 = slab_store.as_mut().map(|(_, s)| s);
-            for i in ilo..=ihi {
-                if stop() {
-                    return;
-                }
-                if i == 0 {
-                    for j in jlo..=jhi {
-                        for k in klo..=khi {
-                            cell(i, j, k);
-                        }
-                    }
-                    counted.fetch_add(row_cells, Ordering::Relaxed);
-                    continue;
-                }
-                let ai = ctx.ra[i - 1];
-                // Mirrors carry from row j to j+1 of the same i only.
-                if let Some(s16) = slab16.as_mut() {
-                    s16.begin_slab();
-                }
+            if i == 0 {
                 for j in jlo..=jhi {
-                    if j == 0 {
-                        for k in klo..=khi {
-                            cell(i, j, k);
-                        }
-                        continue;
-                    }
-                    if klo == 0 {
-                        cell(i, j, 0);
-                    }
-                    if w < 2 {
-                        continue;
-                    }
-                    let bj = ctx.rb[j - 1];
-                    // SAFETY: see `cell` — the predecessor slices are
-                    // complete and the copy-back targets only this tile's
-                    // cells (k ≥ kb + 1 ≥ klo). Slices stay in bounds:
-                    // kb + w − 1 = khi ≤ n3.
-                    unsafe {
-                        let sl = |i_: usize, j_: usize| {
-                            std::slice::from_raw_parts(grid.as_ptr().add(e.index(i_, j_, kb)), w)
-                        };
-                        rowbuf[0] = grid.get(e.index(i, j, kb));
-                        let row = SlabRow {
-                            g2: ctx.g2,
-                            sab: prof.ab(ai)[j - 1],
-                            sac: &prof.ac(ai)[kb..khi],
-                            sbc: &prof.bc(bj)[kb..khi],
-                            prev_j1: sl(i - 1, j - 1),
-                            prev_j: sl(i - 1, j),
-                            cur_j1: sl(i, j - 1),
-                        };
-                        match (&ctx.prof16, slab16.as_mut()) {
-                            (Some(p16), Some(s16)) => {
-                                let sel = RowSel {
-                                    prof: p16,
-                                    ai,
-                                    bj,
-                                    k_off: kb,
-                                };
-                                s16.row(ctx.rk, &sel, &row, &mut rowbuf[..w]);
-                            }
-                            _ => slab_row(ctx.rk, &row, &mut rowbuf[..w]),
-                        }
-                        let dst = std::slice::from_raw_parts_mut(
-                            grid.as_ptr().add(e.index(i, j, kb + 1)),
-                            w - 1,
-                        );
-                        dst.copy_from_slice(&rowbuf[1..w]);
+                    for k in klo..=khi {
+                        cell(i, j, k);
                     }
                 }
                 counted.fetch_add(row_cells, Ordering::Relaxed);
+                continue;
             }
-        })
+            let ai = ctx.ra[i - 1];
+            for j in jlo..=jhi {
+                if j == 0 {
+                    for k in klo..=khi {
+                        cell(i, j, k);
+                    }
+                    continue;
+                }
+                if klo == 0 {
+                    cell(i, j, 0);
+                }
+                if w < 2 {
+                    continue;
+                }
+                let bj = ctx.rb[j - 1];
+                // SAFETY: see `cell` — the predecessor slices are complete
+                // and the copy-back targets only this tile's cells
+                // (k ≥ kb + 1 ≥ klo). Slices stay in bounds:
+                // kb + w − 1 = khi ≤ n3.
+                unsafe {
+                    let sl = |i_: usize, j_: usize| {
+                        std::slice::from_raw_parts(grid.as_ptr().add(e.index(i_, j_, kb)), w)
+                    };
+                    rowbuf[0] = grid.get(e.index(i, j, kb));
+                    let row = SlabRow {
+                        g2: ctx.g2,
+                        sab: prof.ab(ai)[j - 1],
+                        sac: &prof.ac(ai)[kb..khi],
+                        sbc: &prof.bc(bj)[kb..khi],
+                        prev_j1: sl(i - 1, j - 1),
+                        prev_j: sl(i - 1, j),
+                        cur_j1: sl(i, j - 1),
+                    };
+                    slab_row(ctx.rk, &row, &mut rowbuf[..w]);
+                    let dst = std::slice::from_raw_parts_mut(
+                        grid.as_ptr().add(e.index(i, j, kb + 1)),
+                        w - 1,
+                    );
+                    dst.copy_from_slice(&rowbuf[1..w]);
+                }
+            }
+            counted.fetch_add(row_cells, Ordering::Relaxed);
+        }
     });
-}
-
-/// Bytes of working memory the slab sweep needs (reported by the memory
-/// experiment).
-pub fn slab_memory_bytes(n2: usize, n3: usize) -> usize {
-    2 * (n2 + 1) * (n3 + 1) * std::mem::size_of::<i32>()
-}
-
-/// Bytes of working memory the plane sweep needs.
-pub fn plane_memory_bytes(n1: usize, n2: usize) -> usize {
-    4 * (n1 + 1) * (n2 + 1) * std::mem::size_of::<i32>()
 }
 
 #[cfg(test)]
@@ -1126,7 +983,7 @@ mod tests {
     fn every_kernel_and_tile_edge_agree() {
         let (a, b, c) = family_triple(91, 33);
         let want = full::align_score(&a, &b, &c, &s());
-        for name in ["scalar", "sse2", "avx2", "sse2-i16", "avx2-i16", "auto"] {
+        for name in ["scalar", "sse2", "avx2", "auto"] {
             let simd = SimdKernel::by_name(name).unwrap();
             if !simd.is_native() {
                 continue;
@@ -1241,15 +1098,6 @@ mod tests {
                 .cells_done,
             0
         );
-    }
-
-    #[test]
-    fn memory_accounting() {
-        assert_eq!(slab_memory_bytes(9, 9), 2 * 100 * 4);
-        assert_eq!(plane_memory_bytes(9, 9), 4 * 100 * 4);
-        // Quadratic memory must beat the cube for any realistic n.
-        let n = 128usize;
-        assert!(plane_memory_bytes(n, n) < (n + 1).pow(3) * 4 / 10);
     }
 
     mod durable {

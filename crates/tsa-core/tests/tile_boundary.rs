@@ -53,8 +53,6 @@ proptest! {
             SimdKernel::Scalar,
             SimdKernel::Sse2,
             SimdKernel::Avx2,
-            SimdKernel::Sse2I16,
-            SimdKernel::Avx2I16,
             SimdKernel::Auto,
         ] {
             let tiled_score = Sweep::new(Order::Tiles { tile }, k).score(&a, &b, &c, &scoring).unwrap();

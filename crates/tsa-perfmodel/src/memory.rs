@@ -57,6 +57,12 @@ mod tests {
     }
 
     #[test]
+    fn rolling_score_values() {
+        assert_eq!(slab_score(9, 9), 2 * 100 * 4);
+        assert_eq!(plane_score(9, 9), 4 * 100 * 4);
+    }
+
+    #[test]
     fn quadratic_variants_beat_the_cube() {
         for n in [64usize, 128, 256, 512] {
             let cube = full_lattice(n, n, n);

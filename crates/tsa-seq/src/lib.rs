@@ -39,13 +39,11 @@ pub mod gen;
 pub mod kimura;
 pub mod kmer;
 pub mod mutate;
-pub mod packed;
 pub mod seq;
 pub mod stats;
 
 pub use alphabet::Alphabet;
 pub use error::SeqError;
-pub use packed::PackedDna;
 pub use seq::Seq;
 
 /// Convenience result alias for this crate.

@@ -19,7 +19,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tsa_core::{
     job_fingerprint, Algorithm, Aligner, CancelToken, CheckpointPolicy, FrontierSnapshot,
-    SimdKernel,
 };
 use tsa_obs::{FlightRecorder, TraceContext, Tracer};
 use tsa_scoring::Scoring;
@@ -66,10 +65,6 @@ pub struct ServiceConfig {
     /// Optional time-based checkpoint cadence (milliseconds); fires in
     /// addition to the plane cadence. Only meaningful with `state_dir`.
     pub checkpoint_every_millis: Option<u64>,
-    /// SIMD kernel applied to jobs that do not pin one themselves (their
-    /// `kernel` field is `Auto`). Scores are bit-identical across kernels,
-    /// so this only affects throughput.
-    pub default_kernel: SimdKernel,
     /// Per-client token-bucket rate limit, jobs per second (burst = one
     /// second's worth, at least 1). Applies only to *named* clients
     /// ([`AlignRequest::client`]); anonymous traffic is never limited.
@@ -95,7 +90,6 @@ impl Default for ServiceConfig {
             state_dir: None,
             checkpoint_every_planes: 32,
             checkpoint_every_millis: None,
-            default_kernel: SimdKernel::Auto,
             client_rate: None,
             max_in_flight_per_client: None,
         }
@@ -218,9 +212,6 @@ pub struct AlignRequest {
     pub score_only: bool,
     /// Per-job deadline, overriding the engine default.
     pub deadline: Option<Duration>,
-    /// SIMD kernel for the score inner loops; `Auto` defers to the
-    /// engine's [`ServiceConfig::default_kernel`].
-    pub kernel: SimdKernel,
     /// Client lane for multi-tenant fairness: the scheduler round-robins
     /// across lanes (FIFO within one), and the per-client rate limit and
     /// in-flight quota key on this. Empty (the default) is the shared
@@ -244,7 +235,6 @@ impl AlignRequest {
             algorithm: Algorithm::Auto,
             score_only: false,
             deadline: None,
-            kernel: SimdKernel::Auto,
             client: String::new(),
             trace: None,
         }
@@ -271,12 +261,6 @@ impl AlignRequest {
     /// Set a per-job deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Pin the SIMD kernel for this job's score inner loops.
-    pub fn kernel(mut self, kernel: SimdKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -721,10 +705,6 @@ impl Engine {
             }
         });
         let [a, b, c] = req.seqs;
-        let kernel = match req.kernel {
-            SimdKernel::Auto => self.config.default_kernel,
-            pinned => pinned,
-        };
         let job = Job {
             id,
             tag: req.tag,
@@ -735,7 +715,6 @@ impl Engine {
             scoring: req.scoring,
             algorithm: req.algorithm,
             score_only: req.score_only,
-            kernel,
             cancel: cancel.clone(),
             submitted: Instant::now(),
             responder: Some(responder),

@@ -21,7 +21,7 @@ use crate::json::{JsonObject, Value};
 use crate::stats::StatsSnapshot;
 use crate::worker::CompletedJob;
 use std::time::Duration;
-use tsa_core::{Algorithm, SimdKernel};
+use tsa_core::Algorithm;
 use tsa_obs::{StitchSpan, TraceTree};
 use tsa_scoring::Scoring;
 use tsa_seq::{Alphabet, Seq};
@@ -255,17 +255,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                     ProtocolError::new(id_ref, format!("unknown algorithm '{name}'"))
                 })?,
             };
-            let kernel = match obj.get("kernel").and_then(Value::as_str) {
-                None => SimdKernel::Auto,
-                Some(name) => SimdKernel::by_name(name).ok_or_else(|| {
-                    ProtocolError::new(
-                        id_ref,
-                        format!(
-                            "unknown kernel '{name}' (want scalar|auto|sse2|avx2|sse2-i16|avx2-i16)"
-                        ),
-                    )
-                })?,
-            };
             let score_only = match obj.get("score_only") {
                 None => false,
                 Some(v) => v
@@ -302,7 +291,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 .scoring(scoring)
                 .algorithm(algorithm)
                 .score_only(score_only)
-                .kernel(kernel)
                 .client(client);
             req.deadline = deadline;
             req.trace = trace;
@@ -630,9 +618,6 @@ pub fn render_submit(req: &AlignRequest) -> Option<String> {
         obj = obj.u64("tile", tile as u64);
     }
     obj = obj.str("algorithm", req.algorithm.name());
-    if req.kernel != SimdKernel::Auto {
-        obj = obj.str("kernel", req.kernel.name());
-    }
     if req.score_only {
         obj = obj.bool("score_only", true);
     }
@@ -800,37 +785,6 @@ mod tests {
             }
             other => panic!("expected submit, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn kernel_field_parses_and_validates() {
-        for (name, want) in [
-            ("scalar", SimdKernel::Scalar),
-            ("auto", SimdKernel::Auto),
-            ("sse2", SimdKernel::Sse2),
-            ("avx2", SimdKernel::Avx2),
-            ("sse2-i16", SimdKernel::Sse2I16),
-            ("avx2-i16", SimdKernel::Avx2I16),
-        ] {
-            let line = format!(
-                r#"{{"op":"submit","id":"k","a":"ACGT","b":"ACG","c":"AGT","kernel":"{name}"}}"#
-            );
-            match parse_request(&line).unwrap() {
-                Request::Submit(r) => assert_eq!(r.kernel, want, "{name}"),
-                other => panic!("expected submit, got {other:?}"),
-            }
-        }
-        // Absent field defaults to auto; junk is rejected with the id.
-        match parse_request(r#"{"op":"submit","id":"d","a":"A","b":"C","c":"G"}"#).unwrap() {
-            Request::Submit(r) => assert_eq!(r.kernel, SimdKernel::Auto),
-            other => panic!("expected submit, got {other:?}"),
-        }
-        let err = parse_request(
-            r#"{"op":"submit","id":"bad","a":"A","b":"C","c":"G","kernel":"avx512"}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.id.as_deref(), Some("bad"));
-        assert!(err.message.contains("avx512"));
     }
 
     #[test]
@@ -1241,7 +1195,7 @@ mod tests {
     fn submit_round_trips_through_render() {
         let line = r#"{"op":"submit","id":"rt#1","client":"tenant-a","alphabet":"dna",
             "a":"ACGT","b":"ACG","c":"AGT",
-            "scoring":"unit","algorithm":"wavefront","kernel":"scalar",
+            "scoring":"unit","algorithm":"wavefront",
             "deadline_ms":250,"score_only":true}"#;
         let Request::Submit(req) = parse_request(line).unwrap() else {
             panic!("expected submit");
@@ -1253,7 +1207,6 @@ mod tests {
         assert_eq!(again.tag, req.tag);
         assert_eq!(again.seqs[0].residues(), req.seqs[0].residues());
         assert_eq!(again.algorithm, req.algorithm);
-        assert_eq!(again.kernel, req.kernel);
         assert_eq!(again.score_only, req.score_only);
         assert_eq!(again.deadline, req.deadline);
         assert_eq!(again.client, "tenant-a");
@@ -1265,7 +1218,7 @@ mod tests {
 
         // Tile-wavefront jobs carry their tile through the round trip.
         let line = r#"{"op":"submit","id":"tw","a":"ACGT","b":"ACG","c":"AGT",
-            "algorithm":"tile-wavefront","tile":16,"kernel":"avx2-i16"}"#;
+            "algorithm":"tile-wavefront","tile":16}"#;
         let Request::Submit(req) = parse_request(line).unwrap() else {
             panic!("expected submit");
         };
@@ -1273,7 +1226,6 @@ mod tests {
             panic!("expected submit");
         };
         assert_eq!(again.algorithm, Algorithm::TileWavefront { tile: 16 });
-        assert_eq!(again.kernel, SimdKernel::Avx2I16);
 
         // A custom matrix cannot be expressed on the wire: no render.
         let custom = AlignRequest::new(

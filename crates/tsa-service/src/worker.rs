@@ -56,8 +56,6 @@ pub(crate) struct Job {
     pub scoring: Scoring,
     pub algorithm: Algorithm,
     pub score_only: bool,
-    /// Effective SIMD kernel request (engine default already applied).
-    pub kernel: SimdKernel,
     pub cancel: CancelToken,
     pub submitted: Instant,
     /// Taken by the worker before serving; `Some` until then.
@@ -347,9 +345,7 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     }
 
     let served = Instant::now();
-    let aligner = Aligner::auto(job.scoring.clone())
-        .algorithm(job.algorithm)
-        .kernel(job.kernel);
+    let aligner = Aligner::auto(job.scoring.clone()).algorithm(job.algorithm);
     let resolved = aligner.resolve(job.a.len(), job.b.len(), job.c.len());
     let key = CacheKey::new(
         &job.a,
@@ -459,15 +455,15 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
                 .map_err(KernelErr::Align)
         }
     };
-    // The row kernel this job actually runs (degradation applied). Only
-    // a sweep — a score-only job's slab, plane or tile order, or a
-    // Hirschberg alignment's face sweeps — has SIMD rows; every other
-    // path runs scalar cells whatever the request asked for.
+    // The row kernel this job actually runs: served jobs always run
+    // `Auto`, resolved against this CPU. Only a sweep — a score-only
+    // job's slab, plane or tile order, or a Hirschberg alignment's face
+    // sweeps — has SIMD rows; every other path runs scalar cells.
     let swept = aligner
         .sweep_order(job.a.len(), job.b.len(), job.c.len(), job.score_only)
         .is_some();
     let simd = match swept {
-        true => job.kernel.resolve(),
+        true => SimdKernel::Auto.resolve(),
         false => SimdKernel::Scalar.resolve(),
     };
     if !simd.is_scalar() {

@@ -63,7 +63,7 @@ pub fn run_cells_wavefront(
 /// kernel time summed over tasks, and the longest single task.
 ///
 /// To attribute time to tasks the plane is split into *explicit* chunks
-/// (one per worker, floored at [`MIN_CELLS_PER_TASK`] cells) rather than
+/// (one per worker, floored at `MIN_CELLS_PER_TASK` cells) rather than
 /// letting the scheduler pick, so `tasks` in each sample is exact. The
 /// cell visit order within a plane matches the plain executor; the
 /// plane-disjointness contract is unchanged. Timing adds two `Instant`
