@@ -6,7 +6,7 @@
 //! divide-and-conquer aligner exists.
 
 use tsa_bench::{table::Table, workload, RunConfig};
-use tsa_core::{full, CancelToken};
+use tsa_core::{full, CancelToken, SimdKernel};
 use tsa_perfmodel::memory;
 use tsa_scoring::Scoring;
 
@@ -33,9 +33,16 @@ pub fn run(cfg: &RunConfig) {
         let (n1, n2, n3) = (a.len(), b.len(), c.len());
         // Measured: actually materialize the lattice (cheap next to the
         // timing experiments) and ask it.
-        let measured = full::fill(&a, &b, &c, &scoring, &CancelToken::never())
-            .expect("uncancelled")
-            .memory_bytes();
+        let measured = full::fill(
+            &a,
+            &b,
+            &c,
+            &scoring,
+            SimdKernel::Scalar,
+            &CancelToken::never(),
+        )
+        .expect("uncancelled")
+        .memory_bytes();
         assert_eq!(measured, memory::full_lattice(n1, n2, n3));
         t.row(vec![
             n.to_string(),

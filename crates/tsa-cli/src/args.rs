@@ -65,7 +65,7 @@ SERVICE OPTIONS (tsa serve / tsa batch):
     --state-dir <dir>    durable state: crash-safe job journal plus kernel
                          checkpoint snapshots; a restart with the same dir
                          recovers finished jobs and resumes in-flight ones
-    --checkpoint-every <p>  DP planes between checkpoint snapshots        [32]
+    --checkpoint-every <p>  DP slabs/planes between checkpoint snapshots  [32]
     --client-rate <r>    per-client token-bucket rate (jobs/second) for
                          requests carrying a `client` field; absent = no
                          rate limiting

@@ -174,14 +174,8 @@ fn governor_flags_gate_admission_over_the_wire() {
     s.send(&submit("fit", ""));
     let done = s.next_matching(|v| id_of(v) == Some("fit"));
     assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
-    assert_eq!(
-        done.get("algorithm").unwrap().as_str(),
-        Some("par-hirschberg")
-    );
-    assert_eq!(
-        done.get("degraded_from").unwrap().as_str(),
-        Some("wavefront")
-    );
+    assert_eq!(done.get("algorithm").unwrap().as_str(), Some("hirschberg"));
+    assert_eq!(done.get("degraded_from").unwrap().as_str(), Some("full"));
 
     let stats = s.poll_stats(|v| v.get("completed").and_then(Value::as_u64) == Some(1));
     assert_eq!(stats.get("rejected").unwrap().as_u64(), Some(1));

@@ -13,6 +13,7 @@
 use crate::alignment::Alignment3;
 use crate::cancel::{CancelProgress, CancelToken};
 use crate::dp::Kernel;
+use crate::kernel::SimdKernel;
 use crate::sweep;
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -46,18 +47,23 @@ impl Lattice {
 }
 
 /// Fill the full lattice sequentially: the slab sweep of
-/// [`crate::sweep`] with every slab kept, under the scalar reference rows.
-/// Polls `cancel` once per `i`-slab (one check per `O(n²)` cells); a fired
-/// token aborts the sweep with the progress made.
+/// [`crate::sweep`] with every slab kept, under `kernel`'s rows. Every
+/// kernel fills a bit-identical lattice, so the traceback through it is
+/// the same too; [`SimdKernel::Scalar`] is the reference the oracles and
+/// the "SEQ-FULL" experiment column use, and [`crate::Aligner`] passes
+/// its own kernel (`Auto` for served jobs). Polls `cancel` once per
+/// `i`-slab (one check per `O(n²)` cells); a fired token aborts the
+/// sweep with the progress made.
 pub fn fill(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
+    kernel: SimdKernel,
     cancel: &CancelToken,
 ) -> Result<Lattice, CancelProgress> {
     Ok(Lattice {
-        scores: sweep::fill_lattice(a, b, c, scoring, cancel)?,
+        scores: sweep::fill_lattice(a, b, c, scoring, kernel, cancel)?,
         extents: Extents::new(a.len(), b.len(), c.len()),
     })
 }
@@ -79,7 +85,8 @@ pub fn traceback(lat: &Lattice, a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) ->
     Alignment3::new(columns, lat.final_score())
 }
 
-/// Optimal three-sequence alignment by sequential full-lattice DP.
+/// Optimal three-sequence alignment by sequential full-lattice DP, under
+/// the scalar reference rows.
 ///
 /// ```
 /// use tsa_core::full;
@@ -94,14 +101,16 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
     traceback(&uncancelled(a, b, c, scoring), a, b, c, scoring)
 }
 
-/// Optimal score only (still materializes the lattice; the
-/// [`crate::sweep`] slab and plane orders need quadratic space).
+/// Optimal score only, under the scalar reference rows (still
+/// materializes the lattice; the [`crate::sweep`] slab and plane orders
+/// need quadratic space).
 pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
     uncancelled(a, b, c, scoring).final_score()
 }
 
 fn uncancelled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
-    fill(a, b, c, scoring, &CancelToken::never()).expect("a never-firing token cannot cancel")
+    fill(a, b, c, scoring, SimdKernel::Scalar, &CancelToken::never())
+        .expect("a never-firing token cannot cancel")
 }
 
 #[cfg(test)]
@@ -219,7 +228,7 @@ mod tests {
     #[test]
     fn boundary_faces_have_correct_values() {
         let (a, b, c) = random_triple(5, 10);
-        let lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
+        let lat = fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
         // Axis edges: D[i][0][0] = i * 2g.
         for i in 0..=a.len() {
             assert_eq!(lat.at(i, 0, 0), -4 * i as i32);
@@ -301,7 +310,7 @@ mod tests {
     #[test]
     fn memory_report() {
         let (a, b, c) = random_triple(1, 8);
-        let lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
+        let lat = fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
         assert_eq!(
             lat.memory_bytes(),
             (a.len() + 1) * (b.len() + 1) * (c.len() + 1) * 4
@@ -313,13 +322,26 @@ mod tests {
         let (a, b, c) = random_triple(10, 12);
         let token = CancelToken::never();
         token.cancel();
-        let p = fill(&a, &b, &c, &s(), &token).unwrap_err();
+        let p = fill(&a, &b, &c, &s(), SimdKernel::Scalar, &token).unwrap_err();
         assert_eq!(p.cells_done, 0);
         assert_eq!(
             p.cells_total,
             ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64
         );
         assert_eq!(p.fraction(), 0.0);
+    }
+
+    #[test]
+    fn every_kernel_fills_the_scalar_lattice() {
+        let never = CancelToken::never();
+        for (seed, scoring) in [(0, s()), (1, Scoring::blosum62())] {
+            let (a, b, c) = family_triple(seed + 40, 19);
+            let want = fill(&a, &b, &c, &scoring, SimdKernel::Scalar, &never).unwrap();
+            for kernel in [SimdKernel::Sse2, SimdKernel::Avx2, SimdKernel::Auto] {
+                let got = fill(&a, &b, &c, &scoring, kernel, &never).unwrap();
+                assert_eq!(got.scores, want.scores, "{kernel}");
+            }
+        }
     }
 
     #[test]

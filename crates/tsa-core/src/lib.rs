@@ -6,7 +6,7 @@
 //!
 //! | module | algorithm | output | time | space |
 //! |---|---|---|---|---|
-//! | [`full`] | sequential full-lattice DP (the slab sweep, every slab kept) | score + alignment | `O(n³)` | `O(n³)` |
+//! | [`full`] | sequential full-lattice DP (the slab sweep, every slab kept, scalar or SIMD rows) | score + alignment | `O(n³)` | `O(n³)` |
 //! | [`wavefront`] | plane-parallel DP (rayon) | score + alignment | `O(n³/P)` | `O(n³)` |
 //! | [`sweep`] | the exact sweep engine: slab, plane, or `t×t×t` tile order × SIMD kernel × cancel × checkpoint | score or face | `O(n³)` / `O(n³/P)` | `O(n²)` (tiles `O(n³)`) |
 //! | [`hirschberg3`] | 3D divide & conquer, sequential or parallel | score + alignment | `≤ 2·O(n³)` | `O(n²)` |

@@ -227,16 +227,17 @@ impl<'a> Sweep<'a> {
 }
 
 /// The slab loop with every slab kept: the full score lattice, in
-/// [`Extents::index`] order, under the scalar reference rows. This is the
-/// sequential baseline [`crate::full`] traces back through.
+/// [`Extents::index`] order, under `kernel`'s rows. Every kernel fills a
+/// bit-identical lattice; [`crate::full`] traces back through it.
 pub(crate) fn fill_lattice(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
+    kernel: SimdKernel,
     cancel: &CancelToken,
 ) -> Result<Vec<i32>, CancelProgress> {
-    let sweep = Sweep::new(Order::Slabs, SimdKernel::Scalar).cancel(cancel);
+    let sweep = Sweep::new(Order::Slabs, kernel).cancel(cancel);
     let ctx = Ctx::new(a, b, c, scoring, sweep.kernel.resolve());
     let mut poll = Poll::new(&sweep, a, b, c, scoring, Order::Slabs);
     slab_loop(&ctx, &mut poll, a.len() + 1).map_err(|stop| match stop {
@@ -1029,7 +1030,7 @@ mod tests {
     #[test]
     fn faces_match_lattice_slices_in_every_order() {
         let (a, b, c) = random_triple(7, 10);
-        let lat = full::fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
+        let lat = full::fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
         let w3 = c.len() + 1;
         for order in ORDERS {
             let f = face(order, &a, &b, &c, true);
@@ -1041,7 +1042,7 @@ mod tests {
         }
         // |a| = 0: the face is the whole B × C lattice.
         let e = Seq::dna("").unwrap();
-        let lat = full::fill(&e, &b, &c, &s(), &CancelToken::never()).unwrap();
+        let lat = full::fill(&e, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
         assert_eq!(face(Order::Slabs, &e, &b, &c, true), lat.scores);
     }
 
@@ -1092,12 +1093,14 @@ mod tests {
                 0
             );
         }
-        assert_eq!(
-            fill_lattice(&a, &b, &c, &s(), &token)
-                .unwrap_err()
-                .cells_done,
-            0
-        );
+        for kernel in [SimdKernel::Scalar, SimdKernel::Auto] {
+            assert_eq!(
+                fill_lattice(&a, &b, &c, &s(), kernel, &token)
+                    .unwrap_err()
+                    .cells_done,
+                0
+            );
+        }
     }
 
     mod durable {

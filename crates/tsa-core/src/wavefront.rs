@@ -111,6 +111,7 @@ fn uncancelled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
 mod tests {
     use super::*;
     use crate::full;
+    use crate::kernel::SimdKernel;
     use crate::test_util::{family_triple, random_triple};
 
     fn s() -> Scoring {
@@ -121,7 +122,8 @@ mod tests {
     fn lattice_is_bit_identical_to_sequential() {
         for seed in 0..10 {
             let (a, b, c) = random_triple(seed, 14);
-            let seq_lat = full::fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
+            let seq_lat =
+                full::fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
             let par_lat = fill(&a, &b, &c, &s(), &CancelToken::never()).unwrap();
             assert_eq!(seq_lat.scores, par_lat.scores, "seed {seed}");
         }
@@ -179,7 +181,7 @@ mod tests {
         let (lat, profile) = fill_profiled(&a, &b, &c, &s());
         assert_eq!(
             lat.scores,
-            full::fill(&a, &b, &c, &s(), &CancelToken::never())
+            full::fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never())
                 .unwrap()
                 .scores
         );

@@ -6,7 +6,9 @@
 //! through the cancellable and durable entry points — including a
 //! checkpoint taken under one kernel and resumed under another (snapshots
 //! are portable because the kernel never enters the job fingerprint; the
-//! rotation cycles through all four kernels).
+//! rotation cycles through all four kernels). `FullDp` alignments, the
+//! slab lattice `Auto` serves, must equal the scalar ones column for
+//! column under every kernel.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,6 +120,49 @@ proptest! {
     }
 }
 
+/// `FullDp` under every kernel must return the scalar alignment, score
+/// and columns: the SIMD slab lattice is bit-identical, so the canonical
+/// traceback through it is too.
+fn assert_all_kernels_align_alike(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) {
+    let full = |k| {
+        Aligner::new()
+            .scoring(scoring.clone())
+            .algorithm(Algorithm::FullDp)
+            .kernel(k)
+            .align3(a, b, c)
+            .unwrap()
+    };
+    let reference = full(SimdKernel::Scalar);
+    for k in KERNELS {
+        assert_eq!(full(k), reference, "FullDp alignment under {k} diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every preset and the gap override in each case: DNA triples under
+    /// the DNA-alphabet scorings, protein triples under the protein
+    /// matrices.
+    #[test]
+    fn full_dp_alignments_are_identical_across_kernels(
+        a in dna(32),
+        b in dna(32),
+        c in dna(32),
+        p in protein(20),
+        q in protein(20),
+        r in protein(20),
+    ) {
+        for (idx, scoring) in scorings().iter().enumerate() {
+            if (3..6).contains(&idx) {
+                assert_all_kernels_align_alike(&p, &q, &r, scoring);
+            } else {
+                assert_all_kernels_align_alike(&a, &b, &c, scoring);
+            }
+        }
+    }
+}
+
 #[test]
 fn empty_and_tiny_sequences_agree() {
     let empty = Seq::dna("").unwrap();
@@ -128,6 +173,7 @@ fn empty_and_tiny_sequences_agree() {
         for b in [&empty, &one, &few] {
             for c in [&empty, &one, &few] {
                 assert_all_kernels_agree(a, b, c, &scoring);
+                assert_all_kernels_align_alike(a, b, c, &scoring);
             }
         }
     }
@@ -172,6 +218,7 @@ fn gate_refusing_matrix_falls_back_bit_identically() {
     let b = Seq::dna("GATACATTACAGGATACA").unwrap();
     let c = Seq::dna("GTTACAGGATTAGTTACA").unwrap();
     assert_all_kernels_agree(&a, &b, &c, &wild);
+    assert_all_kernels_align_alike(&a, &b, &c, &wild);
 }
 
 /// Moderate terms whose running scores ramp far out of the 16-bit range

@@ -91,6 +91,13 @@ impl SubstMatrix {
         self.table[(a as usize) << 8 | b as usize]
     }
 
+    /// Whether `other` is a clone of this matrix, sharing its table: the
+    /// `O(1)` identity check that lets callers skip comparing all 65,536
+    /// entries against a preset.
+    pub fn shares_table(&self, other: &SubstMatrix) -> bool {
+        std::sync::Arc::ptr_eq(&self.table, &other.table)
+    }
+
     /// Is `m(a, b) == m(b, a)` for every byte pair?
     pub fn is_symmetric(&self) -> bool {
         (0..=255u8).all(|a| (a..=255u8).all(|b| self.sub(a, b) == self.sub(b, a)))

@@ -154,12 +154,13 @@ pub fn content_uid(req: &AlignRequest) -> String {
 /// (`"BLOSUM62"` vs `"blosum62"`), so the key is the lowercased display
 /// name — accepted only when the tables actually agree, so a *custom*
 /// matrix that merely reuses a preset's name is not mis-recovered as
-/// the preset.
+/// the preset. A scoring that came from the preset shares its table,
+/// which settles the question without comparing entries.
 pub(crate) fn preset_key(scoring: &Scoring) -> Option<String> {
     let key = scoring.matrix.name().to_ascii_lowercase();
-    let preset = Scoring::by_name(&key)?;
-    let same_table = (0..=255u8)
-        .all(|a| (0..=255u8).all(|b| preset.matrix.sub(a, b) == scoring.matrix.sub(a, b)));
+    let preset = Scoring::by_name(&key)?.matrix;
+    let same_table = preset.shares_table(&scoring.matrix)
+        || (0..=255u8).all(|a| (0..=255u8).all(|b| preset.sub(a, b) == scoring.matrix.sub(a, b)));
     same_table.then_some(key)
 }
 

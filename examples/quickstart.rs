@@ -11,7 +11,8 @@ fn main() {
     let b = Seq::dna("GATACAGATTAC").unwrap().with_id("B");
     let c = Seq::dna("GTTACAGATCACA").unwrap().with_id("C");
 
-    // Algorithm::Auto picks the parallel wavefront for inputs this small.
+    // Algorithm::Auto fills the full lattice with SIMD slab rows when it
+    // fits the memory budget, as it does for inputs this small.
     let aln = Aligner::new()
         .scoring(Scoring::dna_default())
         .align3(&a, &b, &c)

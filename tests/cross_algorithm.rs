@@ -2,7 +2,7 @@
 //! facade, must agree — on scores, on bounds, and (for the full-lattice
 //! family) on the canonical traceback itself.
 
-use three_seq_align::core::{bounds, center_star, Algorithm, Aligner};
+use three_seq_align::core::{bounds, center_star, Algorithm, Aligner, SimdKernel};
 use three_seq_align::prelude::*;
 
 fn exact_algorithms() -> Vec<Algorithm> {
@@ -59,13 +59,20 @@ fn exact_algorithms_agree_on_scores_and_validate() {
 #[test]
 fn full_lattice_family_produces_identical_tracebacks() {
     // FullDp, Wavefront and TileWavefront share the canonical tie-break,
-    // so their alignments are column-for-column identical.
+    // so their alignments are column-for-column identical. The reference
+    // is the scalar slab lattice; `Auto` (what the service answers with:
+    // the SIMD slab lattice) must match it too.
     for (a, b, c) in workloads() {
         let reference = Aligner::new()
             .algorithm(Algorithm::FullDp)
+            .kernel(SimdKernel::Scalar)
             .align3(&a, &b, &c)
             .unwrap();
-        for alg in [Algorithm::Wavefront, Algorithm::TileWavefront { tile: 8 }] {
+        for alg in [
+            Algorithm::Auto,
+            Algorithm::Wavefront,
+            Algorithm::TileWavefront { tile: 8 },
+        ] {
             let aln = Aligner::new().algorithm(alg).align3(&a, &b, &c).unwrap();
             assert_eq!(aln.columns, reference.columns, "{alg:?}");
         }
