@@ -16,7 +16,9 @@
 //! single-thread scalar slab reference at `n ≥ 128` and exits nonzero
 //! when tiling + SIMD + threads fail to beat the classic sequential
 //! DP — the win the tile executor exists for (the old cell-plane
-//! wavefront *lost* this comparison).
+//! wavefront *lost* this comparison). It also measures the `auto` slab
+//! at 1 thread, the best sequential schedule, and prints the tile rows'
+//! ratio to it on a report-only line that never fails the gate.
 //!
 //! Thread rows are measured only where the host has the cores for them:
 //! on a 1-core host `run` skips its `-tN` rows and `gate-compose` passes
@@ -269,19 +271,39 @@ fn gate_compose(quick: bool, baseline_path: &str, out_path: &str) -> Result<bool
             2,
             reps,
         )?;
-        let ratio = if slab.cells_per_sec > 0.0 {
-            tiled.cells_per_sec / slab.cells_per_sec
-        } else {
-            0.0
+        // The higher bar, reported only: the vectorized slab at 1 thread,
+        // the best sequential schedule a parallel one has to beat.
+        let best = measure(
+            &w,
+            a,
+            b,
+            c,
+            cells,
+            Algorithm::FullDp,
+            "full",
+            SimdKernel::Auto,
+            1,
+            reps,
+        )?;
+        let ratio = |bar: &Record| {
+            if bar.cells_per_sec > 0.0 {
+                tiled.cells_per_sec / bar.cells_per_sec
+            } else {
+                0.0
+            }
         };
         let ok = tiled.cells_per_sec >= slab.cells_per_sec;
         println!(
-            "# compose n={n}: tile-wavefront(auto)@2 / slab(scalar)@1 = {ratio:.3} — {}",
+            "# compose n={n}: tile-wavefront(auto)@2 / slab(scalar)@1 = {:.3} — {}",
+            ratio(&slab),
             if ok { "ok" } else { "FAIL" }
         );
+        println!(
+            "# compose n={n}: tile-wavefront(auto)@2 / slab(auto)@1 = {:.3} — report only",
+            ratio(&best)
+        );
         failed |= !ok;
-        results.push(slab);
-        results.push(tiled);
+        results.extend([slab, tiled, best]);
     }
     let doc = Baseline {
         quick,

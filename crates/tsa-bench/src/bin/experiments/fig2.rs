@@ -3,7 +3,8 @@
 //! All variants are `O(n³)`; the figure shows the constant factors: the
 //! sequential fill's cache-friendly sweep, the wavefront's scheduling
 //! overhead, the tile order (scalar rows) between them, and
-//! divide-and-conquer's ≤ 2× work in quadratic memory.
+//! divide-and-conquer's ≤ 2× work in quadratic memory, whose two solvers
+//! sweep the same SIMD slab faces, one or two at a time.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
 use tsa_core::sweep::{Order, Sweep};

@@ -51,7 +51,7 @@ pub fn run(cfg: &RunConfig) {
             mib(memory::affine_lattice(n1, n2, n3)),
             mib(memory::slab_score(n2, n3)),
             mib(memory::plane_score(n1, n2)),
-            mib(memory::hirschberg(n1, n2, n3)),
+            mib(memory::hirschberg(n1, n2, n3, false)),
         ]);
     }
     t.print();

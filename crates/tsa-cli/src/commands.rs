@@ -160,7 +160,7 @@ fn run_serve(s: ServeArgs) -> Result<(), String> {
             // (not the one requested), so `--listen 127.0.0.1:0`
             // picks a free port that callers can discover.
             eprintln!("# tsa serve: listening on {}", listener.local_addr()?);
-            tsa_service::serve_listener_with(&engine, listener, &options)
+            tsa_service::serve_listener(&engine, listener, &options)
         }),
         None => tsa_service::serve_stdio(&engine),
     }
@@ -458,7 +458,7 @@ fn run_plan(p: PlanArgs) -> Result<(), String> {
     );
     println!(
         "  hirschberg peak  {:>12} bytes",
-        memory::hirschberg(n1, n2, n3)
+        memory::hirschberg(n1, n2, n3, false)
     );
     let m = CostModel::ideal(p.t_cell_ns);
     let eth = ClusterModel::ethernet(p.t_cell_ns);

@@ -5,7 +5,7 @@ use crate::alignment::Alignment3;
 use crate::cancel::{CancelProgress, CancelToken};
 use crate::checkpoint::{CheckpointConfig, DurableStop, FrontierSnapshot, KernelKind, ResumeError};
 use crate::kernel::SimdKernel;
-use crate::sweep::{Checkpoint, Order, Sweep};
+use crate::sweep::{self, Checkpoint, Order, Sweep};
 use crate::{
     affine, anchored, banded3, carrillo_lipman, center_star, full, hirschberg3, wavefront,
 };
@@ -23,25 +23,29 @@ pub enum Algorithm {
     /// sequential divide and conquer when the full lattice would exceed
     /// the memory budget, and the full-lattice DP otherwise. Both linear
     /// choices run the aligner's SIMD slab rows. Score-only jobs run the
-    /// slab sweep, or the plane sweep when its planes hold fewer cells
-    /// (a third sequence more than twice as long as the first).
+    /// slab sweep, or, whatever the budget, the plane sweep when its
+    /// planes hold fewer cells (a third sequence more than twice as long
+    /// as the first).
     Auto,
     /// Sequential full-lattice DP (`O(n³)` time and space): the slab sweep
     /// with every slab kept, under the aligner's row kernel.
     FullDp,
-    /// Plane-parallel wavefront DP (full lattice).
+    /// Plane-parallel wavefront DP: per-cell planes over the full lattice
+    /// for alignments, the rolling plane sweep for scores.
     Wavefront,
     /// `t×t×t` tile-wavefront: rayon over anti-diagonal planes of tiles,
-    /// SIMD slab rows inside each tile (the score path of choice for long
-    /// vector rows; `align3` runs the `Wavefront` lattice fill, whose
-    /// canonical traceback is identical).
+    /// SIMD slab rows inside each tile, over the full lattice, which
+    /// `align3` traces back through (the canonical traceback of
+    /// `FullDp`).
     TileWavefront {
         /// Tile edge length.
         tile: usize,
     },
     /// Sequential divide and conquer: optimal alignment in `O(n²)` space.
     Hirschberg,
-    /// Parallel divide and conquer (parallel faces + parallel recursion).
+    /// Divide and conquer with the two face sweeps, and then the two
+    /// halves, of each split run in parallel; the same slab faces and
+    /// alignment as `Hirschberg`.
     ParallelHirschberg,
     /// Center-star heuristic — **not exact**; `O(n²)` time.
     CenterStar,
@@ -236,22 +240,22 @@ impl Aligner {
     }
 
     /// The effective algorithm `Auto` resolves to for a job of these
-    /// lengths: [`Algorithm::AffineDp`] for an affine gap model,
-    /// [`Algorithm::Hirschberg`] when the full lattice would exceed
-    /// `max_lattice_bytes`, and [`Algorithm::FullDp`] otherwise. These
-    /// are the fastest exact schedules in the crate on every measured job
-    /// shape: the SIMD slab lattice beats the per-cell plane wavefront,
-    /// the slab score sweep beats the plane and tile orders, and
-    /// sequential Hirschberg (SIMD slab faces) beats the parallel one
-    /// (plane faces).
+    /// lengths, by three rules:
     ///
-    /// A score-only job keeps only its rolling sweep's buffers: two
-    /// `(n2+1)(n3+1)` slabs, or four `(n1+1)(n2+1)` planes. When the
-    /// planes are smaller (`n3 + 1 > 2(n1 + 1)`), it resolves to the
-    /// plane-order variant instead — [`Algorithm::Wavefront`], or
-    /// [`Algorithm::ParallelHirschberg`] over the lattice budget — so the
-    /// job holds the smaller of the two. Any other algorithm resolves to
-    /// itself.
+    /// 1. an affine gap model runs [`Algorithm::AffineDp`];
+    /// 2. a score-only job whose four `(n1+1)(n2+1)` planes hold fewer
+    ///    cells than two `(n2+1)(n3+1)` slabs (`n3 + 1 > 2(n1 + 1)`) runs
+    ///    the plane sweep, [`Algorithm::Wavefront`], whatever the lattice
+    ///    budget: the plane sweep holds no lattice;
+    /// 3. otherwise [`Algorithm::FullDp`], or [`Algorithm::Hirschberg`]
+    ///    when the full lattice would exceed `max_lattice_bytes`.
+    ///
+    /// The SIMD slab lattice beats the per-cell plane wavefront and the
+    /// slab score sweep beats the plane and tile orders on every measured
+    /// job shape. Sequential Hirschberg beats the parallel one up to
+    /// n = 128 and leaves the other cores to concurrent jobs; the
+    /// parallel one wins at n = 256 on an idle 2-core host (`fig2`). Any
+    /// other algorithm resolves to itself.
     pub fn resolve_job(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Algorithm {
         if self.algorithm != Algorithm::Auto {
             return self.algorithm;
@@ -259,45 +263,45 @@ impl Aligner {
         if self.scoring.gap.linear_penalty().is_none() {
             return Algorithm::AffineDp;
         }
-        let planes = score_only && n3 + 1 > 2 * (n1 + 1);
-        let over_budget = lattice_bytes(n1, n2, n3) > self.max_lattice_bytes;
-        match (planes, over_budget) {
-            (false, false) => Algorithm::FullDp,
-            (false, true) => Algorithm::Hirschberg,
-            (true, false) => Algorithm::Wavefront,
-            (true, true) => Algorithm::ParallelHirschberg,
+        if score_only && n3 + 1 > 2 * (n1 + 1) {
+            return Algorithm::Wavefront;
+        }
+        if lattice_bytes(n1, n2, n3) > self.max_lattice_bytes {
+            Algorithm::Hirschberg
+        } else {
+            Algorithm::FullDp
         }
     }
 
     /// The sweep order the score path of `algorithm` runs, if it has one.
     fn score_order(algorithm: Algorithm) -> Option<Order> {
         match algorithm {
-            Algorithm::FullDp | Algorithm::Hirschberg => Some(Order::Slabs),
-            Algorithm::Wavefront | Algorithm::ParallelHirschberg => Some(Order::Planes),
+            Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
+                Some(Order::Slabs)
+            }
+            Algorithm::Wavefront => Some(Order::Planes),
             Algorithm::TileWavefront { tile } => Some(Order::Tiles { tile }),
             _ => None,
         }
     }
 
     /// The [`crate::sweep`] order a job of these lengths runs: the score
-    /// sweep of a score-only job, the slab loop of a `FullDp` alignment
-    /// (every slab kept), or the face sweeps of a Hirschberg alignment.
-    /// `None` when no sweep (hence no SIMD row kernel) runs.
+    /// sweep of a score-only job; for an alignment, the slab loop of
+    /// `FullDp` (every slab kept), the face sweeps of both Hirschbergs or
+    /// the tile loop of `TileWavefront`. `None` when no sweep (hence no
+    /// SIMD row kernel) runs: a `Wavefront` alignment fills per cell.
     pub fn sweep_order(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Option<Order> {
         match self.resolve_job(n1, n2, n3, score_only) {
-            alg if score_only => Self::score_order(alg),
-            Algorithm::FullDp | Algorithm::Hirschberg => Some(Order::Slabs),
-            Algorithm::ParallelHirschberg => Some(Order::Planes),
-            _ => None,
+            Algorithm::Wavefront if !score_only => None,
+            alg => Self::score_order(alg),
         }
     }
 
     /// The checkpointable kernel the score path of the algorithm a
     /// score-only job resolves to maps to, if any: the slab sweep for
-    /// `FullDp`/`Hirschberg`, the plane sweep for
-    /// `Wavefront`/`ParallelHirschberg`/`TileWavefront`. `None` means
-    /// [`Aligner::score3_durable`] cannot checkpoint or resume for these
-    /// lengths.
+    /// `FullDp` and both Hirschbergs, the plane sweep for `Wavefront` and
+    /// `TileWavefront`. `None` means [`Aligner::score3_durable`] cannot
+    /// checkpoint or resume for these lengths.
     pub fn durable_kind(&self, n1: usize, n2: usize, n3: usize) -> Option<KernelKind> {
         Self::score_order(self.resolve_job(n1, n2, n3, true)).map(Order::checkpoint_kind)
     }
@@ -375,8 +379,9 @@ impl Aligner {
         let aln = match algorithm {
             Algorithm::Auto => unreachable!("resolve() never returns Auto"),
             Algorithm::FullDp => full::fill(a, b, c, s, self.kernel, cancel).map(traced),
-            Algorithm::Wavefront | Algorithm::TileWavefront { .. } => {
-                wavefront::fill(a, b, c, s, cancel).map(traced)
+            Algorithm::Wavefront => wavefront::fill(a, b, c, s, cancel).map(traced),
+            Algorithm::TileWavefront { tile } => {
+                sweep::fill_tiles(a, b, c, s, self.kernel, tile, cancel).map(traced)
             }
             Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
                 let parallel = algorithm == Algorithm::ParallelHirschberg;
@@ -586,8 +591,14 @@ mod tests {
     fn auto_score_jobs_sweep_the_smaller_rolling_buffers() {
         use crate::checkpoint::KernelKind;
         let al = Aligner::new();
-        // Two (n2+1)(n3+1) slabs against four (n1+1)(n2+1) planes: the
-        // slabs win ties, the planes win once n3 + 1 > 2(n1 + 1).
+        // Rule 1: an affine gap model runs the affine DP, score-only or not.
+        let affine = Aligner::new().gap(GapModel::affine(-4, -1));
+        assert_eq!(
+            affine.resolve_job(1, 20_000, 20_000, true),
+            Algorithm::AffineDp
+        );
+        // Rule 2: two (n2+1)(n3+1) slabs against four (n1+1)(n2+1) planes:
+        // the slabs win ties, the planes win once n3 + 1 > 2(n1 + 1).
         assert_eq!(al.resolve_job(9, 5, 19, true), Algorithm::FullDp);
         assert_eq!(al.resolve_job(9, 5, 20, true), Algorithm::Wavefront);
         // 1×20000×20000: 320 KB of planes instead of 3.2 GB of slabs.
@@ -597,20 +608,20 @@ mod tests {
         );
         assert_eq!(al.durable_kind(1, 20_000, 20_000), Some(KernelKind::Planes));
         assert_eq!(al.sweep_order(1, 20_000, 20_000, true), Some(Order::Planes));
-        // An alignment keeps the slab lattice whatever the shape.
+        // Rule 3: an alignment keeps the slab lattice whatever the shape,
+        // and so does a balanced score job...
         assert_eq!(al.resolve(1, 20_000, 20_000), Algorithm::FullDp);
         assert_eq!(al.sweep_order(1, 20_000, 20_000, false), Some(Order::Slabs));
-        // Over the lattice budget each order has its divide-and-conquer
-        // name.
+        // ...down to divide and conquer over the lattice budget. The plane
+        // sweep holds no lattice, so the budget does not move rule 2.
         let small = Aligner::new().max_lattice_bytes(1 << 20);
         assert_eq!(
             small.resolve_job(100, 100, 100, true),
             Algorithm::Hirschberg
         );
-        assert_eq!(
-            small.resolve_job(10, 300, 3000, true),
-            Algorithm::ParallelHirschberg
-        );
+        assert_eq!(small.resolve(100, 100, 100), Algorithm::Hirschberg);
+        assert_eq!(small.resolve_job(10, 300, 3000, true), Algorithm::Wavefront);
+        assert_eq!(small.durable_kind(10, 300, 3000), Some(KernelKind::Planes));
         // A lopsided score job scores like the full DP.
         let (a, _, _) = family_triple(5, 3);
         let (_, b, c) = family_triple(6, 24);
@@ -622,6 +633,23 @@ mod tests {
             al.score3(&a, &b, &c).unwrap(),
             full::align_score(&a, &b, &c, &Scoring::dna_default())
         );
+    }
+
+    #[test]
+    fn sweep_order_names_the_sweep_each_alignment_runs() {
+        let order = |alg| Aligner::new().algorithm(alg).sweep_order(8, 8, 8, false);
+        assert_eq!(order(Algorithm::FullDp), Some(Order::Slabs));
+        assert_eq!(order(Algorithm::Hirschberg), Some(Order::Slabs));
+        assert_eq!(order(Algorithm::ParallelHirschberg), Some(Order::Slabs));
+        let tiles = Algorithm::TileWavefront { tile: 4 };
+        assert_eq!(order(tiles), Some(Order::Tiles { tile: 4 }));
+        // The per-cell plane fill and the non-sweep algorithms run no
+        // SIMD rows.
+        assert_eq!(order(Algorithm::Wavefront), None);
+        assert_eq!(order(Algorithm::CarrilloLipman), None);
+        let score = |alg| Aligner::new().algorithm(alg).sweep_order(8, 8, 8, true);
+        assert_eq!(score(Algorithm::Wavefront), Some(Order::Planes));
+        assert_eq!(score(Algorithm::ParallelHirschberg), Some(Order::Slabs));
     }
 
     #[test]
@@ -806,6 +834,21 @@ mod tests {
             Some(KernelKind::Planes)
         );
         assert_eq!(al.durable_kind(8, 8, 8), Some(KernelKind::Slabs)); // Auto
+
+        // Both Hirschbergs score through the slab sweep.
+        assert_eq!(
+            Aligner::new()
+                .algorithm(Algorithm::ParallelHirschberg)
+                .durable_kind(8, 8, 8),
+            Some(KernelKind::Slabs)
+        );
+        // Checkpointed tile sweeps run the plane order.
+        assert_eq!(
+            Aligner::new()
+                .algorithm(Algorithm::TileWavefront { tile: 4 })
+                .durable_kind(8, 8, 8),
+            Some(KernelKind::Planes)
+        );
         assert_eq!(
             Aligner::new()
                 .algorithm(Algorithm::CenterStar)

@@ -62,10 +62,7 @@ pub fn fill(
     kernel: SimdKernel,
     cancel: &CancelToken,
 ) -> Result<Lattice, CancelProgress> {
-    Ok(Lattice {
-        scores: sweep::fill_lattice(a, b, c, scoring, kernel, cancel)?,
-        extents: Extents::new(a.len(), b.len(), c.len()),
-    })
+    sweep::fill_lattice(a, b, c, scoring, kernel, cancel)
 }
 
 /// Trace one canonical optimal path through a filled lattice.

@@ -5,38 +5,41 @@
 //! lattice face `i = m` at exactly one cell `(m, j, k)`, and that cell is
 //! an argmax of `F[j][k] + R[j][k]`, where `F` is the forward face of
 //! `(A[..m], B, C)` and `R` the backward face of `(A[m..], B, C)` — both
-//! computable in quadratic space ([`crate::sweep`]). Recurse on the
-//! two sub-problems; the half-volumes sum geometrically, so total work is
-//! at most ~2× the plain DP (experiment `table4` measures the real ratio).
+//! swept in quadratic space by the SIMD slab loop of [`crate::sweep`].
+//! Recurse on the two sub-problems; the half-volumes sum geometrically, so
+//! total work is at most ~2× the plain DP (experiment `table4` measures
+//! the real ratio).
 //!
-//! With `parallel` set, the solver additionally (a) computes the two faces
-//! with plane-parallel sweeps and (b) runs the two recursive halves as a
-//! `rayon::join`, so parallelism is available at every level.
+//! With `parallel` set, the solver runs the two face sweeps of each split,
+//! and then its two halves, as a `rayon::join` (the coarse split of Helal
+//! et al.). The faces, hence the splits and the alignment, are the same
+//! either way.
 
 use crate::alignment::{Alignment3, Column3};
 use crate::cancel::{CancelProgress, CancelToken};
 use crate::dp::NEG_INF;
 use crate::full;
 use crate::kernel::SimdKernel;
-use crate::sweep::{Face, Order, Sweep};
+use crate::sweep::{self, Face};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
 /// Below this `|A|` the recursion bottoms out into the full-lattice DP:
 /// the sub-lattice is at most `(BASE+1)·(n2+1)·(n3+1)` cells, i.e. already
-/// quadratic in the remaining problem.
+/// quadratic in the remaining problem. `tsa_perfmodel::memory::hirschberg`
+/// prices this lattice with the same constant.
 const BASE_CASE_LEN: usize = 4;
 
 /// Optimal alignment by divide and conquer in quadratic space.
 ///
-/// `parallel` selects plane-parallel face sweeps plus a parallel
-/// recursion; otherwise the faces are sequential slab sweeps. `kernel`
-/// is the SIMD row kernel of the face sweeps. The token is polled at
-/// every recursion node and once per slab or plane inside each face
-/// sweep; a fired token stops the solver with the cell updates made so
-/// far, out of an estimated total of twice the lattice (the halved
-/// sub-problems sum geometrically).
+/// Both faces of every split are slab sweeps under `kernel`'s rows.
+/// `parallel` runs the two face sweeps, and then the two halves, of each
+/// split at once; the alignment is column-for-column the sequential one.
+/// The token is polled at every recursion node and once per slab inside
+/// each face sweep; a fired token stops the solver with the cell updates
+/// made so far, out of an estimated total of twice the lattice (the
+/// halved sub-problems sum geometrically).
 ///
 /// ```
 /// use tsa_core::{full, hirschberg3, CancelToken, SimdKernel};
@@ -60,14 +63,9 @@ pub fn align(
     kernel: SimdKernel,
     cancel: &CancelToken,
 ) -> Result<Alignment3, CancelProgress> {
-    let order = if parallel {
-        Order::Planes
-    } else {
-        Order::Slabs
-    };
     let solver = Solver {
         scoring,
-        faces: Sweep::new(order, kernel).cancel(cancel),
+        kernel,
         parallel,
         cancel,
         done: AtomicU64::new(0),
@@ -96,7 +94,7 @@ fn cube(a: &Seq, b: &Seq, c: &Seq) -> u64 {
 /// The recursion's loop invariants plus its running cell count.
 struct Solver<'a> {
     scoring: &'a Scoring,
-    faces: Sweep<'a>,
+    kernel: SimdKernel,
     parallel: bool,
     cancel: &'a CancelToken,
     done: AtomicU64,
@@ -115,8 +113,11 @@ impl Solver<'_> {
         let mid = a.len() / 2;
         let a_lo = a.slice(0, mid);
         let a_hi = a.slice(mid, a.len());
-        let forward = || self.faces.forward_face(&a_lo, b, c, self.scoring);
-        let backward = || self.faces.backward_face(&a_hi, b, c, self.scoring);
+        let face = |a: &Seq, backward| {
+            sweep::slab_face(a, b, c, self.scoring, self.kernel, self.cancel, backward)
+        };
+        let forward = || face(&a_lo, false);
+        let backward = || face(&a_hi, true);
         let (f, r) = if self.parallel {
             rayon::join(forward, backward)
         } else {
@@ -131,6 +132,10 @@ impl Solver<'_> {
         };
         let w3 = c.len() + 1;
         let split = best_split(&f, &r);
+        // The halves need neither face: free them before recursing, so no
+        // ancestor's faces stay live beneath (`tsa_perfmodel::memory::
+        // hirschberg` prices only the top level's).
+        drop((f, r));
         let (sj, sk) = (split / w3, split % w3);
         let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
         let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
@@ -215,6 +220,10 @@ mod tests {
             let opt = full::align_score(&a, &b, &c, &s());
             assert_eq!(dc.score, opt, "seed {seed}");
             dc.validate_scored(&a, &b, &c, &s()).unwrap();
+            // The same faces give the same splits: the sequential solver's
+            // alignment, column for column.
+            let seq = run_dc(&a, &b, &c, &s(), false);
+            assert_eq!(dc.columns, seq.columns, "seed {seed}");
         }
     }
 
@@ -227,6 +236,7 @@ mod tests {
             dc.validate_scored(&a, &b, &c, &s()).unwrap();
             let pdc = run_dc(&a, &b, &c, &s(), true);
             assert_eq!(pdc.score, dc.score);
+            assert_eq!(pdc.columns, dc.columns, "seed {seed}");
             pdc.validate_scored(&a, &b, &c, &s()).unwrap();
         }
     }

@@ -8,8 +8,8 @@
 //! |---|---|---|---|---|
 //! | [`full`] | sequential full-lattice DP (the slab sweep, every slab kept, scalar or SIMD rows) | score + alignment | `O(n³)` | `O(n³)` |
 //! | [`wavefront`] | plane-parallel DP (rayon) | score + alignment | `O(n³/P)` | `O(n³)` |
-//! | [`sweep`] | the exact sweep engine: slab, plane, or `t×t×t` tile order × SIMD kernel × cancel × checkpoint | score or face | `O(n³)` / `O(n³/P)` | `O(n²)` (tiles `O(n³)`) |
-//! | [`hirschberg3`] | 3D divide & conquer, sequential or parallel | score + alignment | `≤ 2·O(n³)` | `O(n²)` |
+//! | [`sweep`] | the exact sweep engine: slab, plane, or `t×t×t` tile order × SIMD kernel × cancel × checkpoint | score (slabs: also Hirschberg faces) | `O(n³)` / `O(n³/P)` | `O(n²)` (tiles `O(n³)`) |
+//! | [`hirschberg3`] | 3D divide & conquer over slab faces, one or two face sweeps at a time | score + alignment | `≤ 2·O(n³)` | `O(n²)` |
 //! | [`affine`] | quasi-natural affine-gap DP (Gotoh-style, 7 gap states) | score + alignment | `O(7²·n³)` | `O(7·n³)` |
 //! | [`carrillo_lipman`] | bound-pruned DP (skips cells no optimal path can cross) | score + alignment | `≪ O(n³)` for similar inputs | `O(n³)` |
 //! | [`banded3`] | banded DP with adaptive widening | score + alignment | `O(n·w²)` | `O(n³)` |

@@ -1,19 +1,20 @@
 //! The exact sweep engine: one loop per sweep order.
 //!
 //! The paper's parallel algorithm is one recurrence run under different
-//! schedules. This module owns the three schedules that produce a score
-//! (or a lattice face) without a traceback:
+//! schedules. This module owns the three schedules:
 //!
 //! * [`Order::Slabs`] — `i`-slabs swept sequentially over two rolling
 //!   slabs of `(n2+1)(n3+1)` cells. The final slab is exactly
-//!   `D[n1][·][·]`, the forward face Hirschberg needs. [`crate::full`]
-//!   runs the same loop with every slab kept.
+//!   `D[n1][·][·]`, the face Hirschberg's split needs, and the slab loop
+//!   is the only producer of faces. [`crate::full`] runs the same loop
+//!   with every slab kept.
 //! * [`Order::Planes`] — anti-diagonal planes `d = i + j + k`, the cells of
 //!   each plane in parallel, four rotating `(n1+1)(n2+1)` plane buffers (a
-//!   cell's seven predecessors live on planes `d−1..d−3`).
+//!   cell's seven predecessors live on planes `d−1..d−3`). Scores only.
 //! * [`Order::Tiles`] — `t×t×t` tiles, rayon over anti-diagonal planes of
 //!   tiles, SIMD slab rows inside each tile: long unit-stride rows and a
-//!   barrier every `O(n²·t)` cells. Keeps the full lattice.
+//!   barrier every `O(n²·t)` cells. Keeps the full lattice, which
+//!   `Algorithm::TileWavefront` alignments trace back through.
 //!
 //! Slabs and planes need `O(n²)` memory instead of `O(n³)`, the headline
 //! of the memory experiment (`table3`).
@@ -33,6 +34,7 @@ use crate::checkpoint::{
     ResumeError,
 };
 use crate::dp::{Kernel, NEG_INF};
+use crate::full::Lattice;
 use crate::kernel::{
     plane_row, slab_row, PlaneRow, PlaneScratch, Profiles, ResolvedKernel, SimdKernel, SlabRow,
 };
@@ -42,12 +44,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 use tsa_wavefront::executor::run_tiles_wavefront;
-use tsa_wavefront::plane::{plane_cells, plane_rows, Extents};
+use tsa_wavefront::plane::{plane_rows, Extents};
 use tsa_wavefront::{SharedGrid, TileGrid};
 
 /// A face of the lattice at fixed `i`: scores indexed by `(j, k)` as
 /// `j * (n3 + 1) + k`.
-pub type Face = Vec<i32>;
+pub(crate) type Face = Vec<i32>;
 
 /// The schedule a sweep visits the lattice in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,61 +146,7 @@ impl<'a> Sweep<'a> {
     /// arithmetic and returns a score bit-identical to an uninterrupted
     /// run.
     pub fn score(&self, a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Result<i32, DurableStop> {
-        self.run(a, b, c, scoring, false).map(|(score, _)| score)
-    }
-
-    /// The forward face `D[|a|][j][k]` for all `(j, k)`: the optimal score
-    /// of aligning **all of `a`** against the prefixes `b[..j]`, `c[..k]`.
-    /// Faces never checkpoint — a plane sweep resumed mid-way would miss
-    /// the face cells of the planes before the resume point — so the
-    /// sweep's `checkpoint` is ignored here.
-    pub fn forward_face(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        scoring: &Scoring,
-    ) -> Result<Face, CancelProgress> {
-        let plain = Sweep {
-            checkpoint: None,
-            ..*self
-        };
-        match plain.run(a, b, c, scoring, true) {
-            Ok((_, face)) => Ok(face.expect("face requested")),
-            Err(DurableStop::Cancelled(p)) => Err(p),
-            Err(other) => unreachable!("a sweep without checkpoints stopped: {other}"),
-        }
-    }
-
-    /// The backward face: `out[j * (n3+1) + k]` is the optimal score of
-    /// aligning **all of `a`** against the suffixes `b[j..]`, `c[k..]`.
-    pub fn backward_face(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        scoring: &Scoring,
-    ) -> Result<Face, CancelProgress> {
-        let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
-        let rev = self.forward_face(&ar, &br, &cr, scoring)?;
-        let (n2, w3) = (b.len(), c.len() + 1);
-        // Entry (j, k) of the reversed sweep's face is suffix (n2−j, n3−k);
-        // row-major reversal maps one onto the other.
-        debug_assert_eq!(rev.len(), (n2 + 1) * w3);
-        Ok(rev.into_iter().rev().collect())
-    }
-
-    fn run(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        scoring: &Scoring,
-        want_face: bool,
-    ) -> Result<(i32, Option<Face>), DurableStop> {
         let ctx = Ctx::new(a, b, c, scoring, self.kernel.resolve());
-        let (n1, n2, n3) = ctx.kernel.lens();
-        let face_len = (n2 + 1) * (n3 + 1);
         let order = match self.order {
             Order::Tiles { .. } if self.checkpoint.is_some() => Order::Planes,
             order => order,
@@ -207,23 +155,54 @@ impl<'a> Sweep<'a> {
             Order::Slabs => {
                 let mut poll = Poll::new(self, a, b, c, scoring, order);
                 let slabs = slab_loop(&ctx, &mut poll, 2)?;
-                let last = &slabs[(n1 % 2) * face_len..][..face_len];
-                Ok((last[face_len - 1], want_face.then(|| last.to_vec())))
+                // Slab n1 sits in slot n1 % 2; its last cell is the score.
+                let len = (b.len() + 1) * (c.len() + 1);
+                Ok(slabs[(a.len() % 2) * len + len - 1])
             }
-            Order::Planes => {
-                let mut poll = Poll::new(self, a, b, c, scoring, order);
-                plane_loop(&ctx, &mut poll, want_face)
-            }
+            Order::Planes => plane_loop(&ctx, &mut Poll::new(self, a, b, c, scoring, order)),
             Order::Tiles { tile } => {
-                let grid = tile_loop(&ctx, tile, self.cancel)?;
-                let e = Extents::new(n1, n2, n3);
+                let grid = tile_loop(&ctx, tile, self.cancel).map_err(DurableStop::Cancelled)?;
                 // SAFETY: the sweep finished; exclusive access.
-                let at = |idx: usize| unsafe { grid.get(idx) };
-                let face = want_face.then(|| (n1 * face_len..e.cells()).map(at).collect());
-                Ok((at(e.cells() - 1), face))
+                Ok(unsafe { grid.get(grid.len() - 1) })
             }
         }
     }
+}
+
+/// The face `D[|a|][·][·]` of the slab sweep over `(a, b, c)`, indexed by
+/// `(j, k)` as `j * (n3 + 1) + k`: the optimal score of aligning **all of
+/// `a`** against the prefixes `b[..j]`, `c[..k]`. With `backward` set the
+/// sweep runs over the reversed sequences, and entry `(j, k)` scores all of
+/// `a` against the suffixes `b[j..]`, `c[k..]`. Hirschberg's split needs
+/// one face of each kind. Faces never checkpoint.
+///
+/// Peak memory: the two rolling slabs plus the face copied out of them,
+/// three `(n2+1)(n3+1)` buffers (`tsa_perfmodel::memory::hirschberg`).
+pub(crate) fn slab_face(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    kernel: SimdKernel,
+    cancel: &CancelToken,
+    backward: bool,
+) -> Result<Face, CancelProgress> {
+    let reversed;
+    let (a, b, c) = if backward {
+        reversed = [a.reversed(), b.reversed(), c.reversed()];
+        (&reversed[0], &reversed[1], &reversed[2])
+    } else {
+        (a, b, c)
+    };
+    let len = (b.len() + 1) * (c.len() + 1);
+    let slabs = slabs_without_checkpoints(a, b, c, scoring, kernel, cancel, 2)?;
+    let mut face = slabs[(a.len() % 2) * len..][..len].to_vec();
+    if backward {
+        // Entry (j, k) of the reversed sweep's face is suffix (n2−j, n3−k);
+        // row-major reversal maps one onto the other.
+        face.reverse();
+    }
+    Ok(face)
 }
 
 /// The slab loop with every slab kept: the full score lattice, in
@@ -236,11 +215,46 @@ pub(crate) fn fill_lattice(
     scoring: &Scoring,
     kernel: SimdKernel,
     cancel: &CancelToken,
+) -> Result<Lattice, CancelProgress> {
+    Ok(Lattice {
+        scores: slabs_without_checkpoints(a, b, c, scoring, kernel, cancel, a.len() + 1)?,
+        extents: Extents::new(a.len(), b.len(), c.len()),
+    })
+}
+
+/// The tile loop's lattice: the same cells as [`fill_lattice`], in the
+/// same [`Extents::index`] order, filled tile plane by tile plane.
+pub(crate) fn fill_tiles(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    kernel: SimdKernel,
+    tile: usize,
+    cancel: &CancelToken,
+) -> Result<Lattice, CancelProgress> {
+    let ctx = Ctx::new(a, b, c, scoring, kernel.resolve());
+    Ok(Lattice {
+        scores: tile_loop(&ctx, tile, Some(cancel))?.into_vec(),
+        extents: Extents::new(a.len(), b.len(), c.len()),
+    })
+}
+
+/// The slab loop over `slots` slab slots (see [`slab_loop`]), polling
+/// only `cancel`.
+fn slabs_without_checkpoints(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    kernel: SimdKernel,
+    cancel: &CancelToken,
+    slots: usize,
 ) -> Result<Vec<i32>, CancelProgress> {
     let sweep = Sweep::new(Order::Slabs, kernel).cancel(cancel);
-    let ctx = Ctx::new(a, b, c, scoring, sweep.kernel.resolve());
+    let ctx = Ctx::new(a, b, c, scoring, kernel.resolve());
     let mut poll = Poll::new(&sweep, a, b, c, scoring, Order::Slabs);
-    slab_loop(&ctx, &mut poll, a.len() + 1).map_err(|stop| match stop {
+    slab_loop(&ctx, &mut poll, slots).map_err(|stop| match stop {
         DurableStop::Cancelled(p) => p,
         other => unreachable!("a sweep without checkpoints stopped: {other}"),
     })
@@ -505,25 +519,19 @@ fn compute_slab(ctx: &Ctx<'_>, i: usize, prev: &[i32], cur: &mut [i32]) {
     }
 }
 
-/// Cells per rayon task within a plane.
+/// Planes with fewer cells run on the calling thread.
 const MIN_CELLS_PER_TASK: usize = 64;
 
 /// The plane loop: planes `start..num_planes`, each computed from the
 /// three before it in four rotating buffers indexed by `(i, j)` (the `k`
 /// of a stored value is implied by its plane: `k = d − i − j`).
-fn plane_loop(
-    ctx: &Ctx<'_>,
-    poll: &mut Poll<'_>,
-    want_face: bool,
-) -> Result<(i32, Option<Face>), DurableStop> {
+fn plane_loop(ctx: &Ctx<'_>, poll: &mut Poll<'_>) -> Result<i32, DurableStop> {
     let (n1, n2, n3) = ctx.kernel.lens();
     let e = Extents::new(n1, n2, n3);
     let w2 = n2 + 1;
     let plane_len = (n1 + 1) * w2;
     let mut buffers: [SharedGrid<i32>; 4] =
         std::array::from_fn(|_| SharedGrid::new(plane_len, NEG_INF));
-    // Face at i = n1, filled as its cells are computed (only if wanted).
-    let face = want_face.then(|| SharedGrid::new(w2 * (n3 + 1), NEG_INF));
     let (start, mut done) = match poll.resume()? {
         None => (0, 0),
         Some(s) => {
@@ -548,25 +556,20 @@ fn plane_loop(
             (next, s.cells_done)
         }
     };
-    let mut scratch: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
     for d in start..e.num_planes() {
         poll.before(d, done, || plane_frontier(&mut buffers, d))?;
         let step = PlaneStep {
             ctx,
             buffers: &buffers,
-            face: face.as_ref(),
-            n1,
-            n3,
             w2,
         };
-        done += compute_plane(&step, &mut scratch, e, d) as u64;
+        done += compute_plane(&step, e, d) as u64;
         if d + 1 < e.num_planes() {
             poll.after(d + 1, done, || plane_frontier(&mut buffers, d + 1))?;
         }
     }
     // SAFETY: the sweep finished; exclusive access.
-    let score = unsafe { buffers[(n1 + n2 + n3) % 4].get(n1 * w2 + n2) };
-    Ok((score, face.map(SharedGrid::into_vec)))
+    Ok(unsafe { buffers[(n1 + n2 + n3) % 4].get(n1 * w2 + n2) })
 }
 
 /// The `min(next, 3)` planes preceding `next`, oldest first.
@@ -580,86 +583,19 @@ fn plane_frontier(buffers: &mut [SharedGrid<i32>; 4], next: usize) -> Vec<Vec<i3
 struct PlaneStep<'a> {
     ctx: &'a Ctx<'a>,
     buffers: &'a [SharedGrid<i32>; 4],
-    face: Option<&'a SharedGrid<i32>>,
-    n1: usize,
-    n3: usize,
     w2: usize,
 }
 
-/// Compute anti-diagonal plane `d` into the rotating buffers (and the
-/// `i = n1` face, when one is being collected). Returns the number of
-/// cells on the plane. `scratch` is plane-loop-reused space for the scalar
-/// path's cell list.
-fn compute_plane(
-    step: &PlaneStep<'_>,
-    scratch: &mut Vec<(usize, usize, usize)>,
-    e: Extents,
-    d: usize,
-) -> usize {
-    match &step.ctx.prof {
-        Some(prof) => compute_plane_rows(step, prof, e, d),
-        None => {
-            scratch.clear();
-            scratch.extend(plane_cells(e, d));
-            compute_plane_cells(step, scratch, d);
-            scratch.len()
-        }
-    }
-}
-
-/// The scalar reference plane pass: one generic bounds-checked kernel
-/// evaluation per cell.
-fn compute_plane_cells(step: &PlaneStep<'_>, cells: &[(usize, usize, usize)], d: usize) {
-    let PlaneStep {
-        ctx,
-        buffers,
-        face,
-        n1,
-        n3,
-        w2,
-    } = *step;
-    let slot = |i: usize, j: usize| i * w2 + j;
-    let target = &buffers[d % 4];
-    // SAFETY: each (i, j) slot of the target buffer corresponds to one
-    // distinct plane cell; reads go to the three previous planes'
-    // buffers, complete before this plane starts. The buffer being
-    // overwritten (d ≡ d−4) is never read: predecessors reach back at
-    // most 3 planes.
-    let compute = |&(i, j, k): &(usize, usize, usize)| {
-        let v = ctx.kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            buffers[(pi + pj + pk) % 4].get(slot(pi, pj))
-        });
-        unsafe { target.set(slot(i, j), v) };
-        if i == n1 {
-            if let Some(f) = face {
-                unsafe { f.set(j * (n3 + 1) + k, v) };
-            }
-        }
-    };
-    if cells.len() < MIN_CELLS_PER_TASK {
-        cells.iter().for_each(compute);
-    } else {
-        cells
-            .par_iter()
-            .with_min_len(MIN_CELLS_PER_TASK)
-            .for_each(compute);
-    }
-}
-
-/// The SIMD plane pass: whole `(i, j-run)` rows at a time. The interior
-/// segment of each row reads all seven predecessors (and writes its
-/// output) through unit-stride slices of the rotating buffers; edge cells
-/// (`i`, `j`, or `k` of 0) fall back to the generic kernel. Scores are
-/// bit-identical to [`compute_plane_cells`]. Returns the plane's cell
-/// count.
-fn compute_plane_rows(step: &PlaneStep<'_>, prof: &Profiles, e: Extents, d: usize) -> usize {
+/// Compute anti-diagonal plane `d` into the rotating buffers, its rows in
+/// parallel. Returns the number of cells on the plane.
+fn compute_plane(step: &PlaneStep<'_>, e: Extents, d: usize) -> usize {
     thread_local! {
         static SCRATCH: RefCell<PlaneScratch> = RefCell::new(PlaneScratch::default());
     }
     let rows: Vec<(usize, usize, usize)> = plane_rows(e, d).collect();
     let total: usize = rows.iter().map(|&(_, lo, hi)| hi - lo + 1).sum();
     let do_row = |&(i, j_lo, j_hi): &(usize, usize, usize)| {
-        SCRATCH.with(|s| plane_row_segmented(step, prof, d, i, j_lo, j_hi, &mut s.borrow_mut()));
+        SCRATCH.with(|s| compute_plane_row(step, d, i, j_lo, j_hi, &mut s.borrow_mut()));
     };
     if total < MIN_CELLS_PER_TASK {
         rows.iter().for_each(do_row);
@@ -669,50 +605,45 @@ fn compute_plane_rows(step: &PlaneStep<'_>, prof: &Profiles, e: Extents, d: usiz
     total
 }
 
-/// One plane row `(i, j_lo..=j_hi)`: generic edge cells around a
-/// vectorized interior segment.
-fn plane_row_segmented(
+/// One plane row `(i, j_lo..=j_hi)`. The scalar reference evaluates every
+/// cell with the generic bounds-checked kernel; a SIMD kernel runs the
+/// interior segment as one vector row, which reads all seven predecessors
+/// (and writes its output) through unit-stride slices of the rotating
+/// buffers, and leaves the edge cells (`i`, `j`, or `k` of 0) to the
+/// generic kernel. Scores are bit-identical either way.
+fn compute_plane_row(
     step: &PlaneStep<'_>,
-    prof: &Profiles,
     d: usize,
     i: usize,
     j_lo: usize,
     j_hi: usize,
     scratch: &mut PlaneScratch,
 ) {
-    let PlaneStep {
-        ctx,
-        buffers,
-        face,
-        n1,
-        n3,
-        w2,
-    } = *step;
+    let PlaneStep { ctx, buffers, w2 } = *step;
     let slot = |i: usize, j: usize| i * w2 + j;
     let target = &buffers[d % 4];
-    // SAFETY: as in `compute_plane_cells` — writes land in this row's own
-    // target slots, reads come from the three previous planes' buffers.
+    // SAFETY: each (i, j) slot of the target buffer corresponds to one
+    // distinct plane cell, and rows of a plane are disjoint; reads go to
+    // the three previous planes' buffers, complete before this plane
+    // starts. The buffer being overwritten (d ≡ d−4) is never read:
+    // predecessors reach back at most 3 planes.
     let cell = |i: usize, j: usize, k: usize| {
         let v = ctx.kernel.cell(i, j, k, |pi, pj, pk| unsafe {
             buffers[(pi + pj + pk) % 4].get(slot(pi, pj))
         });
         unsafe { target.set(slot(i, j), v) };
-        if i == n1 {
-            if let Some(f) = face {
-                unsafe { f.set(j * (n3 + 1) + k, v) };
-            }
-        }
     };
     // Interior cells need i ≥ 1 and j, k ≥ 1; with k = d − i − j that is
     // j ∈ [max(j_lo, 1), min(j_hi, d − i − 1)].
-    let seg = if i >= 1 && d > i {
-        let js = j_lo.max(1);
-        let je = j_hi.min(d - i - 1);
-        (js <= je).then_some((js, je))
-    } else {
-        None
-    };
-    let Some((js, je)) = seg else {
+    let interior = ctx
+        .prof
+        .as_ref()
+        .filter(|_| i >= 1 && d > i)
+        .and_then(|prof| {
+            let (js, je) = (j_lo.max(1), j_hi.min(d - i - 1));
+            (js <= je).then_some((prof, js, je))
+        });
+    let Some((prof, js, je)) = interior else {
         for j in j_lo..=j_hi {
             cell(i, j, d - i - j);
         }
@@ -766,14 +697,6 @@ fn plane_row_segmented(
         let out = std::slice::from_raw_parts_mut(target.as_ptr().add(slot(i, js)), len);
         plane_row(rk, &row, out);
     }
-    if i == n1 {
-        if let Some(f) = face {
-            for j in js..=je {
-                // SAFETY: reading back this row's own completed cells.
-                unsafe { f.set(j * (n3 + 1) + (d - i - j), target.get(slot(i, j))) };
-            }
-        }
-    }
     for j in (je + 1)..=j_hi {
         cell(i, j, d - i - j);
     }
@@ -800,7 +723,7 @@ fn tile_loop(
     ctx: &Ctx<'_>,
     tile: usize,
     cancel: Option<&CancelToken>,
-) -> Result<SharedGrid<i32>, DurableStop> {
+) -> Result<SharedGrid<i32>, CancelProgress> {
     let (n1, n2, n3) = ctx.kernel.lens();
     let e = Extents::new(n1, n2, n3);
     let tg = TileGrid::new(e, tile.max(1));
@@ -813,10 +736,10 @@ fn tile_loop(
     if finished && cells_done == e.cells() as u64 {
         Ok(grid)
     } else {
-        Err(DurableStop::Cancelled(CancelProgress {
+        Err(CancelProgress {
             cells_done,
             cells_total: e.cells() as u64,
-        }))
+        })
     }
 }
 
@@ -957,12 +880,9 @@ mod tests {
             .unwrap()
     }
 
-    fn face(order: Order, a: &Seq, b: &Seq, c: &Seq, forward: bool) -> Face {
-        let sweep = Sweep::new(order, SimdKernel::Auto);
-        match forward {
-            true => sweep.forward_face(a, b, c, &s()).unwrap(),
-            false => sweep.backward_face(a, b, c, &s()).unwrap(),
-        }
+    fn face(a: &Seq, b: &Seq, c: &Seq, backward: bool) -> Face {
+        let never = CancelToken::never();
+        slab_face(a, b, c, &s(), SimdKernel::Auto, &never, backward).unwrap()
     }
 
     #[test]
@@ -1028,36 +948,32 @@ mod tests {
     }
 
     #[test]
-    fn faces_match_lattice_slices_in_every_order() {
+    fn forward_faces_match_lattice_slices() {
         let (a, b, c) = random_triple(7, 10);
         let lat = full::fill(&a, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
         let w3 = c.len() + 1;
-        for order in ORDERS {
-            let f = face(order, &a, &b, &c, true);
-            for j in 0..=b.len() {
-                for k in 0..=c.len() {
-                    assert_eq!(f[j * w3 + k], lat.at(a.len(), j, k), "{order:?} ({j},{k})");
-                }
+        let f = face(&a, &b, &c, false);
+        for j in 0..=b.len() {
+            for k in 0..=c.len() {
+                assert_eq!(f[j * w3 + k], lat.at(a.len(), j, k), "({j},{k})");
             }
         }
         // |a| = 0: the face is the whole B × C lattice.
         let e = Seq::dna("").unwrap();
         let lat = full::fill(&e, &b, &c, &s(), SimdKernel::Scalar, &CancelToken::never()).unwrap();
-        assert_eq!(face(Order::Slabs, &e, &b, &c, true), lat.scores);
+        assert_eq!(face(&e, &b, &c, false), lat.scores);
     }
 
     #[test]
     fn backward_face_matches_suffix_alignments() {
         let (a, b, c) = random_triple(3, 8);
         let w3 = c.len() + 1;
-        for order in [Order::Slabs, Order::Planes] {
-            let f = face(order, &a, &b, &c, false);
-            for j in 0..=b.len() {
-                for k in 0..=c.len() {
-                    let (bs, cs) = (b.slice(j, b.len()), c.slice(k, c.len()));
-                    let want = full::align_score(&a, &bs, &cs, &s());
-                    assert_eq!(f[j * w3 + k], want, "{order:?} ({j},{k})");
-                }
+        let f = face(&a, &b, &c, true);
+        for j in 0..=b.len() {
+            for k in 0..=c.len() {
+                let (bs, cs) = (b.slice(j, b.len()), c.slice(k, c.len()));
+                let want = full::align_score(&a, &bs, &cs, &s());
+                assert_eq!(f[j * w3 + k], want, "({j},{k})");
             }
         }
     }
@@ -1068,10 +984,42 @@ mod tests {
         // full optimum — the 3D divide-and-conquer invariant.
         let (a, b, c) = family_triple(31, 16);
         let mid = a.len() / 2;
-        let f = face(Order::Slabs, &a.slice(0, mid), &b, &c, true);
-        let r = face(Order::Planes, &a.slice(mid, a.len()), &b, &c, false);
+        let f = face(&a.slice(0, mid), &b, &c, false);
+        let r = face(&a.slice(mid, a.len()), &b, &c, true);
         let combined = f.iter().zip(&r).map(|(x, y)| x + y).max().unwrap();
         assert_eq!(combined, full::align_score(&a, &b, &c, &s()));
+    }
+
+    #[test]
+    fn tile_lattice_equals_the_scalar_slab_lattice() {
+        let never = CancelToken::never();
+        // Lengths past the largest tile edge, so it too leaves a ragged
+        // boundary tile.
+        for (seed, scoring) in [(0, s()), (1, Scoring::blosum62())] {
+            let (a, b, c) = family_triple(seed + 60, 70);
+            for tile in [1, 4, 7, 64] {
+                // Lengths off multiples of the tile (every length is a
+                // multiple of 1): ragged boundary tiles on every face.
+                let cut = |x: &Seq| {
+                    let mut n = x.len();
+                    while tile > 1 && n % tile == 0 {
+                        n -= 1;
+                    }
+                    x.slice(0, n)
+                };
+                let (a, b, c) = (cut(&a), cut(&b), cut(&c));
+                let want = full::fill(&a, &b, &c, &scoring, SimdKernel::Scalar, &never).unwrap();
+                for name in ["scalar", "sse2", "avx2", "auto"] {
+                    let kernel = SimdKernel::by_name(name).unwrap();
+                    if !kernel.is_native() {
+                        continue;
+                    }
+                    let got = fill_tiles(&a, &b, &c, &scoring, kernel, tile, &never).unwrap();
+                    assert_eq!(got.extents, want.extents);
+                    assert!(got.scores == want.scores, "tile {tile} under {name}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1088,18 +1036,19 @@ mod tests {
                 }
                 other => panic!("{order:?}: {other:?}"),
             }
-            assert_eq!(
-                sweep.forward_face(&a, &b, &c, &s()).unwrap_err().cells_done,
-                0
-            );
         }
         for kernel in [SimdKernel::Scalar, SimdKernel::Auto] {
-            assert_eq!(
-                fill_lattice(&a, &b, &c, &s(), kernel, &token)
-                    .unwrap_err()
-                    .cells_done,
-                0
-            );
+            for backward in [false, true] {
+                let face = slab_face(&a, &b, &c, &s(), kernel, &token, backward);
+                assert_eq!(face.unwrap_err().cells_done, 0);
+            }
+            let lattices = [
+                fill_lattice(&a, &b, &c, &s(), kernel, &token),
+                fill_tiles(&a, &b, &c, &s(), kernel, 4, &token),
+            ];
+            for lattice in lattices {
+                assert_eq!(lattice.unwrap_err().cells_done, 0);
+            }
         }
     }
 

@@ -115,7 +115,7 @@ proptest! {
         // long enough for the pacer to fire (slab kernels pace on |a|
         // slabs, plane kernels on |a|+|b|+|c| planes).
         let paced_steps = match alg {
-            Algorithm::FullDp | Algorithm::Hirschberg => a.len(),
+            Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg => a.len(),
             _ => a.len() + b.len() + c.len(),
         };
         if paced_steps >= every_planes {

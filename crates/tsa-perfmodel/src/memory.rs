@@ -28,12 +28,31 @@ pub fn plane_score(n1: usize, n2: usize) -> usize {
     4 * (n1 + 1) * (n2 + 1) * CELL
 }
 
-/// Peak working set of the divide-and-conquer aligner: the top-level
-/// forward + backward faces, plus the parallel pass's plane buffers that
-/// produce them (sub-problems are strictly smaller, and the recursion
-/// reuses freed memory).
-pub fn hirschberg(n1: usize, n2: usize, n3: usize) -> usize {
-    2 * (n2 + 1) * (n3 + 1) * CELL + plane_score(n1, n2)
+/// `|A|` at or below which the divide-and-conquer aligner solves its
+/// sub-problem with the full lattice (`BASE_CASE_LEN` in
+/// `tsa_core::hirschberg3`).
+pub const HIRSCHBERG_BASE_CASE_LEN: usize = 4;
+
+/// Peak working set of the divide-and-conquer aligner, `parallel` for the
+/// variant that sweeps both faces of a split at once. The larger of two
+/// phases, in `(n2+1)(n3+1)` faces:
+///
+/// * **faces** — each face sweep holds two rolling slabs plus the face it
+///   copies out of them (3). The sequential solver keeps the forward face
+///   while it sweeps the backward one (1 + 3); the parallel one runs both
+///   sweeps at once (3 + 3). A split frees both faces before recursing,
+///   and the faces of the two halves together hold at most one cell more
+///   than their parent's, so the top level is the peak.
+/// * **base case** — the full lattice of an `|A| ≤ 4` sub-problem, at most
+///   `(min(n1, 4) + 1)` faces; a job with `n1 ≤ 4` is only this.
+pub fn hirschberg(n1: usize, n2: usize, n3: usize, parallel: bool) -> usize {
+    let face = (n2 + 1) * (n3 + 1) * CELL;
+    let base_case = (n1.min(HIRSCHBERG_BASE_CASE_LEN) + 1) * face;
+    if n1 <= HIRSCHBERG_BASE_CASE_LEN {
+        return base_case;
+    }
+    let faces = if parallel { 3 + 3 } else { 1 + 3 };
+    base_case.max(faces * face)
 }
 
 /// Center-star heuristic: Hirschberg pairwise rows, `O(n)` per call — the
@@ -68,8 +87,20 @@ mod tests {
             let cube = full_lattice(n, n, n);
             assert!(slab_score(n, n) < cube / 8, "n={n}");
             assert!(plane_score(n, n) < cube / 8, "n={n}");
-            assert!(hirschberg(n, n, n) < cube / 8, "n={n}");
+            assert!(hirschberg(n, n, n, true) < cube / 8, "n={n}");
         }
+    }
+
+    #[test]
+    fn hirschberg_prices_the_larger_phase() {
+        let face = |n2: usize, n3: usize| (n2 + 1) * (n3 + 1) * CELL;
+        // A short first sequence is one base case.
+        assert_eq!(hirschberg(2, 9, 9, false), 3 * face(9, 9));
+        assert_eq!(hirschberg(4, 9, 9, true), 5 * face(9, 9));
+        // Past it, the base case (5 faces) outweighs the sequential face
+        // phase (4) but not the parallel one (6).
+        assert_eq!(hirschberg(20, 600, 600, false), 5 * face(600, 600));
+        assert_eq!(hirschberg(20, 600, 600, true), 6 * face(600, 600));
     }
 
     #[test]

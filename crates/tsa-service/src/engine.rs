@@ -1552,9 +1552,15 @@ mod tests {
         let align = AlignRequest::new("align", a.clone(), b.clone(), c.clone());
         engine.submit(align).unwrap().wait().result().unwrap();
         assert_eq!(engine.stats().simd_jobs, 1, "slab lattice ran SIMD rows");
-        let score = AlignRequest::new("score", a, b, c).score_only(true);
+        let score = AlignRequest::new("score", a.clone(), b.clone(), c.clone()).score_only(true);
         engine.submit(score).unwrap().wait().result().unwrap();
-        assert_eq!(engine.shutdown().simd_jobs, 2);
+        assert_eq!(engine.stats().simd_jobs, 2);
+        // A tile-wavefront alignment fills its own tile lattice with SIMD
+        // slab rows.
+        let tiles =
+            AlignRequest::new("tiles", a, b, c).algorithm(Algorithm::TileWavefront { tile: 4 });
+        engine.submit(tiles).unwrap().wait().result().unwrap();
+        assert_eq!(engine.shutdown().simd_jobs, 3, "tile lattice ran SIMD rows");
     }
 
     #[test]
@@ -1796,51 +1802,57 @@ mod tests {
     #[test]
     fn plane_snapshot_of_an_auto_score_job_restarts_cleanly() {
         use tsa_core::checkpoint::CheckpointConfig;
-        let dir = state_dir("planes");
-        let (a, b, c) = triple("GATTACAGATTACA");
-        let req = AlignRequest::new("planes", a.clone(), b.clone(), c.clone()).score_only(true);
-        let uid = durability::job_uid(&req);
-        let snapshot = dir.join("checkpoints").join(format!("{uid}.ckpt"));
-        {
-            // Builds whose `Auto` score jobs ran the plane order journaled
-            // the job and checkpointed it as kind `Planes`, one snapshot
-            // per plane; the last one is still on disk after the crash.
-            let policy = CheckpointPolicy {
-                every_planes: 1,
-                every: None,
-            };
-            let (d, _replay) = Durability::open(&dir, policy, 64).unwrap();
-            d.record_job(&uid, &req);
-            let sink = d.sink_for(&uid);
-            let ckpt = CheckpointConfig::new(&sink).every_planes(1);
-            Aligner::auto(req.scoring.clone())
-                .algorithm(Algorithm::Wavefront)
-                .score3_durable(&a, &b, &c, &CancelToken::never(), &ckpt, None)
-                .unwrap();
-            d.sync().unwrap();
-            let snap = d.load_snapshot(&uid).expect("plane snapshot on disk");
-            assert_eq!(snap.kind, tsa_core::KernelKind::Planes.code());
+        // `auto` and `par-hirschberg` score jobs both sweep slabs now.
+        for algorithm in [Algorithm::Auto, Algorithm::ParallelHirschberg] {
+            let dir = state_dir("planes");
+            let (a, b, c) = triple("GATTACAGATTACA");
+            let req = AlignRequest::new("planes", a.clone(), b.clone(), c.clone())
+                .algorithm(algorithm)
+                .score_only(true);
+            let uid = durability::job_uid(&req);
+            let snapshot = dir.join("checkpoints").join(format!("{uid}.ckpt"));
+            {
+                // Builds whose score jobs of this algorithm ran the plane
+                // order journaled the job and checkpointed it as kind
+                // `Planes`, one snapshot per plane; the last one is still
+                // on disk after the crash.
+                let policy = CheckpointPolicy {
+                    every_planes: 1,
+                    every: None,
+                };
+                let (d, _replay) = Durability::open(&dir, policy, 64).unwrap();
+                d.record_job(&uid, &req);
+                let sink = d.sink_for(&uid);
+                let ckpt = CheckpointConfig::new(&sink).every_planes(1);
+                Aligner::auto(req.scoring.clone())
+                    .algorithm(Algorithm::Wavefront)
+                    .score3_durable(&a, &b, &c, &CancelToken::never(), &ckpt, None)
+                    .unwrap();
+                d.sync().unwrap();
+                let snap = d.load_snapshot(&uid).expect("plane snapshot on disk");
+                assert_eq!(snap.kind, tsa_core::KernelKind::Planes.code());
+            }
+            let engine = Engine::start(durable_config(&dir));
+            let stats = engine.stats();
+            assert_eq!(
+                stats.restarted, 1,
+                "{algorithm:?}: a plane snapshot fails the slab kind check"
+            );
+            assert_eq!(stats.resumed, 0, "{algorithm:?}");
+            await_completed(&engine, 1);
+            // One worker: the re-run resolved (and dropped its checkpoint)
+            // before this job was popped.
+            let outcome = engine.submit(req).unwrap().wait();
+            assert!(!snapshot.exists(), "the stale snapshot is removed");
+            let result = outcome.result().expect("re-run result is served");
+            assert!(result.cached, "recovered re-run populated the cache");
+            assert_eq!(
+                result.score,
+                tsa_core::full::align_score(&a, &b, &c, &Scoring::dna_default())
+            );
+            engine.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let engine = Engine::start(durable_config(&dir));
-        let stats = engine.stats();
-        assert_eq!(
-            stats.restarted, 1,
-            "a plane snapshot fails the slab kind check"
-        );
-        assert_eq!(stats.resumed, 0);
-        await_completed(&engine, 1);
-        // One worker: the re-run resolved (and dropped its checkpoint)
-        // before this job was popped.
-        let outcome = engine.submit(req).unwrap().wait();
-        assert!(!snapshot.exists(), "the stale snapshot is removed");
-        let result = outcome.result().expect("re-run result is served");
-        assert!(result.cached, "recovered re-run populated the cache");
-        assert_eq!(
-            result.score,
-            tsa_core::full::align_score(&a, &b, &c, &Scoring::dna_default())
-        );
-        engine.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

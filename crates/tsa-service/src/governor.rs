@@ -50,12 +50,10 @@ pub fn estimate(
     let (cells, peak_bytes) = match algorithm {
         // Score-only jobs dispatch to the O(n²) rolling passes for the
         // algorithms that have them (see `Aligner::score3`).
-        Algorithm::FullDp | Algorithm::Hirschberg if score_only => {
+        Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg if score_only => {
             (cube, memory::slab_score(n2, n3))
         }
-        Algorithm::Wavefront | Algorithm::ParallelHirschberg if score_only => {
-            (cube, memory::plane_score(n1, n2))
-        }
+        Algorithm::Wavefront if score_only => (cube, memory::plane_score(n1, n2)),
         // Full-lattice traceback algorithms materialize the whole cube —
         // as does the tile-wavefront score grid.
         Algorithm::FullDp
@@ -65,7 +63,8 @@ pub fn estimate(
         | Algorithm::BandedAdaptive => (cube, memory::full_lattice(n1, n2, n3)),
         // Divide and conquer: ≤2× the cell updates, quadratic space.
         Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
-            (2 * cube, memory::hirschberg(n1, n2, n3))
+            let parallel = algorithm == Algorithm::ParallelHirschberg;
+            (2 * cube, memory::hirschberg(n1, n2, n3, parallel))
         }
         // 7 gap states per lattice cell.
         Algorithm::AffineDp => (7 * cube, memory::affine_lattice(n1, n2, n3)),

@@ -28,7 +28,7 @@
 //!
 //! ## Wire use
 //!
-//! [`serve_stdio`] / [`serve_tcp`] speak an NDJSON protocol (one JSON
+//! [`serve_stdio`] / [`serve_listener`] speak an NDJSON protocol (one JSON
 //! object per line; see [`protocol`]), and [`run_batch`] drives a file of
 //! requests through the pool at full parallelism. The `tsa serve` and
 //! `tsa batch` CLI commands are thin wrappers over these.
@@ -84,8 +84,8 @@ pub use governor::ResourceEstimate;
 pub use queue::{job_queue, JobQueue, JobReceiver, PushError};
 pub use sched::{fair_queue, FairQueue, FairReceiver};
 pub use server::{
-    run_all, run_batch, serve_listener, serve_listener_with, serve_session, serve_session_with,
-    serve_stdio, serve_tcp, serve_tcp_with, BatchSummary, FlaggedJob, ServeOptions,
+    run_all, run_batch, serve_listener, serve_session, serve_stdio, BatchSummary, FlaggedJob,
+    ServeOptions,
 };
 pub use stats::{LaneSnapshot, ServiceStats, StatsSnapshot};
 pub use tsa_core::cancel::{CancelProgress, CancelToken};

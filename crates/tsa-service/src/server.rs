@@ -6,7 +6,7 @@ use crate::protocol::{self, ProtocolError, Request};
 use crate::stats::StatsSnapshot;
 use parking_lot::Mutex;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,6 +52,27 @@ fn trace_response(engine: &Engine, trace_id: Option<u64>, recent: usize) -> Stri
                 None => recorder.recent(recent),
             };
             protocol::render_trace_response(&trees)
+        }
+    }
+}
+
+/// The reply to a control op (`stats`, `metrics`, `shard_info`, `hello`,
+/// `ping` or `trace`), rendered alike by sessions and batches. `shard`
+/// is the identity `shard_info` and `hello` report.
+fn control_reply(engine: &Engine, op: &Request, shard: Option<u64>) -> String {
+    match op {
+        Request::Stats => protocol::render_stats(&engine.stats(), &server_info(engine)),
+        Request::Metrics => protocol::render_metrics(&engine.metrics_text()),
+        Request::ShardInfo => {
+            let state_dir = engine.config().state_dir.as_ref();
+            let state_dir = state_dir.map(|p| p.display().to_string());
+            protocol::render_shard_info(shard, state_dir.as_deref(), &server_info(engine))
+        }
+        Request::Hello => protocol::render_hello(shard, &server_info(engine)),
+        Request::Ping { seq } => protocol::render_pong(*seq, &server_info(engine)),
+        Request::Trace { trace_id, recent } => trace_response(engine, *trace_id, *recent),
+        Request::Submit(_) | Request::Shutdown | Request::Drain => {
+            unreachable!("submit, shutdown and drain are not control ops")
         }
     }
 }
@@ -131,7 +152,7 @@ fn read_bounded_line<R: BufRead>(
 /// `shutdown` or `drain` request (engine stopped; final stats written),
 /// at EOF (engine left running), or when the transport's idle timeout
 /// expires (connection closed, engine left running).
-pub fn serve_session_with<R, W>(
+pub fn serve_session<R, W>(
     engine: &Arc<Engine>,
     reader: R,
     writer: Arc<Mutex<W>>,
@@ -182,38 +203,6 @@ where
         }
         match protocol::parse_request(line) {
             Err(err) => write_line(&writer, &protocol::render_protocol_error(&err))?,
-            Ok(Request::Stats) => write_line(
-                &writer,
-                &protocol::render_stats(&engine.stats(), &server_info(engine)),
-            )?,
-            Ok(Request::Metrics) => {
-                write_line(&writer, &protocol::render_metrics(&engine.metrics_text()))?
-            }
-            Ok(Request::ShardInfo) => {
-                let state_dir = engine
-                    .config()
-                    .state_dir
-                    .as_ref()
-                    .map(|p| p.display().to_string());
-                write_line(
-                    &writer,
-                    &protocol::render_shard_info(
-                        options.shard,
-                        state_dir.as_deref(),
-                        &server_info(engine),
-                    ),
-                )?
-            }
-            Ok(Request::Hello) => write_line(
-                &writer,
-                &protocol::render_hello(options.shard, &server_info(engine)),
-            )?,
-            Ok(Request::Ping { seq }) => {
-                write_line(&writer, &protocol::render_pong(seq, &server_info(engine)))?
-            }
-            Ok(Request::Trace { trace_id, recent }) => {
-                write_line(&writer, &trace_response(engine, trace_id, recent))?
-            }
             Ok(Request::Shutdown) => {
                 let stats = engine.shutdown();
                 write_line(&writer, &protocol::render_shutdown(&stats))?;
@@ -234,29 +223,18 @@ where
                     write_line(&writer, &protocol::render_submit_error(&tag, &err))?;
                 }
             }
+            Ok(control) => write_line(&writer, &control_reply(engine, &control, options.shard))?,
         }
     }
     Ok(false)
 }
 
-/// [`serve_session_with`] under default [`ServeOptions`].
-pub fn serve_session<R, W>(
-    engine: &Arc<Engine>,
-    reader: R,
-    writer: Arc<Mutex<W>>,
-) -> io::Result<bool>
-where
-    R: BufRead,
-    W: Write + Send + 'static,
-{
-    serve_session_with(engine, reader, writer, &ServeOptions::default())
-}
-
-/// Serve NDJSON over stdin/stdout until `shutdown`, `drain`, or EOF.
-/// Returns the final stats snapshot.
+/// Serve NDJSON over stdin/stdout until `shutdown`, `drain`, or EOF, under
+/// default [`ServeOptions`]. Returns the final stats snapshot.
 pub fn serve_stdio(engine: &Arc<Engine>) -> io::Result<StatsSnapshot> {
     let writer = Arc::new(Mutex::new(io::stdout()));
-    let shut = serve_session(engine, io::stdin().lock(), writer)?;
+    let options = ServeOptions::default();
+    let shut = serve_session(engine, io::stdin().lock(), writer, &options)?;
     Ok(if shut {
         engine.stats()
     } else {
@@ -264,64 +242,53 @@ pub fn serve_stdio(engine: &Arc<Engine>) -> io::Result<StatsSnapshot> {
     })
 }
 
-/// Serve NDJSON over TCP: one session thread per connection, all sharing
-/// the engine. Returns after a connection issues `shutdown` or `drain`.
-pub fn serve_tcp(engine: &Arc<Engine>, addr: &str) -> io::Result<StatsSnapshot> {
-    serve_listener(engine, TcpListener::bind(addr)?)
-}
-
-/// [`serve_tcp`] with explicit [`ServeOptions`].
-pub fn serve_tcp_with(
-    engine: &Arc<Engine>,
-    addr: &str,
-    options: &ServeOptions,
-) -> io::Result<StatsSnapshot> {
-    serve_listener_with(engine, TcpListener::bind(addr)?, options)
-}
-
-/// [`serve_tcp`] over an already-bound listener (lets callers pick port 0
-/// and read the assigned address first).
-pub fn serve_listener(engine: &Arc<Engine>, listener: TcpListener) -> io::Result<StatsSnapshot> {
-    serve_listener_with(engine, listener, &ServeOptions::default())
-}
-
-/// [`serve_listener`] with explicit [`ServeOptions`]: each accepted
-/// connection gets the configured idle read timeout and request-line
-/// bound.
+/// Serve NDJSON over TCP on an already-bound listener (callers may bind
+/// port 0 and read the assigned address first): one session thread per
+/// connection, all sharing the engine, each with the configured idle read
+/// timeout and request-line bound. Returns after a connection issues
+/// `shutdown` or `drain`.
 ///
 /// The loop blocks in `accept`, so a new connection is served at once.
 /// A session that ends with the engine stopped (it handled `shutdown`
 /// or `drain`) wakes the loop with one loopback connect to the
-/// listener's own port; the loop sees the stopped engine and returns.
-pub fn serve_listener_with(
+/// listener's own port; the loop sees the stopped engine, closes the read
+/// half of every connection still open, so that idle clients do not hold
+/// the server up, and joins the sessions.
+pub fn serve_listener(
     engine: &Arc<Engine>,
     listener: TcpListener,
     options: &ServeOptions,
 ) -> io::Result<StatsSnapshot> {
     listener.set_nonblocking(false)?;
     let wake = wake_address(listener.local_addr()?);
-    let mut sessions = Vec::new();
+    let mut sessions: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
     while engine.is_running() {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) => return Err(e),
-        };
+        let (stream, _peer) = listener.accept()?;
         if !engine.is_running() {
             break;
         }
+        // Sessions whose clients left need no handle: keep the live ones.
+        sessions.retain(|(_, session)| !session.is_finished());
         stream.set_read_timeout(options.idle_timeout)?;
         let engine = Arc::clone(engine);
         let options = options.clone();
+        let socket = stream.try_clone()?;
         let reader = BufReader::new(stream.try_clone()?);
         let writer = Arc::new(Mutex::new(stream));
-        sessions.push(std::thread::spawn(move || {
-            let _ = serve_session_with(&engine, reader, writer, &options);
+        let session = std::thread::spawn(move || {
+            let _ = serve_session(&engine, reader, writer, &options);
             if !engine.is_running() {
                 let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             }
-        }));
+        });
+        sessions.push((socket, session));
     }
-    for session in sessions {
+    // Reads only: replies still pending go out through each session's
+    // writer, which stays open until its last job has answered.
+    for (socket, _) in &sessions {
+        let _ = socket.shutdown(Shutdown::Read);
+    }
+    for (_, session) in sessions {
         let _ = session.join();
     }
     Ok(engine.stats())
@@ -431,33 +398,6 @@ pub fn run_batch<W: Write>(
                 summary.errors += 1;
                 immediate.push((lineno, protocol::render_protocol_error(&err)));
             }
-            Ok(Request::Stats) => immediate.push((
-                lineno,
-                protocol::render_stats(&engine.stats(), &server_info(engine)),
-            )),
-            Ok(Request::Metrics) => {
-                immediate.push((lineno, protocol::render_metrics(&engine.metrics_text())))
-            }
-            Ok(Request::ShardInfo) => {
-                let state_dir = engine
-                    .config()
-                    .state_dir
-                    .as_ref()
-                    .map(|p| p.display().to_string());
-                immediate.push((
-                    lineno,
-                    protocol::render_shard_info(None, state_dir.as_deref(), &server_info(engine)),
-                ));
-            }
-            Ok(Request::Hello) => {
-                immediate.push((lineno, protocol::render_hello(None, &server_info(engine))))
-            }
-            Ok(Request::Ping { seq }) => {
-                immediate.push((lineno, protocol::render_pong(seq, &server_info(engine))))
-            }
-            Ok(Request::Trace { trace_id, recent }) => {
-                immediate.push((lineno, trace_response(engine, trace_id, recent)))
-            }
             Ok(Request::Shutdown) | Ok(Request::Drain) => break,
             Ok(Request::Submit(req)) => {
                 let tag = req.tag.clone();
@@ -490,6 +430,7 @@ pub fn run_batch<W: Write>(
                     }
                 }
             }
+            Ok(control) => immediate.push((lineno, control_reply(engine, &control, None))),
         }
     }
     summary.submitted = pending.len();
@@ -568,6 +509,10 @@ mod tests {
         }))
     }
 
+    fn defaults() -> ServeOptions {
+        ServeOptions::default()
+    }
+
     fn lines(bytes: &[u8]) -> Vec<Value> {
         std::str::from_utf8(bytes)
             .unwrap()
@@ -586,7 +531,13 @@ mod tests {
             "\n"
         );
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let shut = serve_session(&engine, Cursor::new(input), Arc::clone(&writer)).unwrap();
+        let shut = serve_session(
+            &engine,
+            Cursor::new(input),
+            Arc::clone(&writer),
+            &defaults(),
+        )
+        .unwrap();
         assert!(shut);
         let out = lines(&writer.lock());
         // Shutdown drains the queue first, so both lines are present;
@@ -616,7 +567,13 @@ mod tests {
             "\n"
         );
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        serve_session(&engine, Cursor::new(input), Arc::clone(&writer)).unwrap();
+        serve_session(
+            &engine,
+            Cursor::new(input),
+            Arc::clone(&writer),
+            &defaults(),
+        )
+        .unwrap();
         let out = lines(&writer.lock());
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].get("error").unwrap().as_str(), Some("bad_request"));
@@ -636,7 +593,13 @@ mod tests {
         input.extend_from_slice(br#"{"op":"shutdown"}"#);
         input.extend_from_slice(b"\n");
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let shut = serve_session(&engine, Cursor::new(input), Arc::clone(&writer)).unwrap();
+        let shut = serve_session(
+            &engine,
+            Cursor::new(input),
+            Arc::clone(&writer),
+            &defaults(),
+        )
+        .unwrap();
         assert!(shut, "session keeps running past the binary garbage");
         let out = lines(&writer.lock());
         assert_eq!(out.len(), 3);
@@ -667,7 +630,7 @@ mod tests {
         input.push('\n');
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
         let shut =
-            serve_session_with(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
+            serve_session(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
         assert!(shut, "session survives the oversized line");
         let out = lines(&writer.lock());
         assert_eq!(out.len(), 3);
@@ -690,7 +653,7 @@ mod tests {
         };
         let input = format!("{line}\n{{\"op\":\"shutdown\"}}\n");
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        serve_session_with(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
+        serve_session(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
         let out = lines(&writer.lock());
         assert_eq!(out[0].get("op").unwrap().as_str(), Some("stats"));
     }
@@ -715,7 +678,7 @@ mod tests {
             "\n"
         );
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        serve_session_with(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
+        serve_session(&engine, Cursor::new(input), Arc::clone(&writer), &options).unwrap();
         let out = lines(&writer.lock());
         assert_eq!(out.len(), 5);
         let server = out[0].get("server").expect("stats carry a server section");
@@ -746,7 +709,13 @@ mod tests {
             "\n"
         );
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let shut = serve_session(&engine, Cursor::new(input), Arc::clone(&writer)).unwrap();
+        let shut = serve_session(
+            &engine,
+            Cursor::new(input),
+            Arc::clone(&writer),
+            &defaults(),
+        )
+        .unwrap();
         assert!(shut);
         assert!(!engine.is_running());
         let out = lines(&writer.lock());
@@ -763,7 +732,8 @@ mod tests {
     fn session_eof_leaves_engine_running() {
         let engine = engine();
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
-        let shut = serve_session(&engine, Cursor::new(""), Arc::clone(&writer)).unwrap();
+        let shut =
+            serve_session(&engine, Cursor::new(""), Arc::clone(&writer), &defaults()).unwrap();
         assert!(!shut);
         assert!(engine.is_running());
         engine.shutdown();
@@ -878,7 +848,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = {
             let engine = Arc::clone(&engine);
-            std::thread::spawn(move || serve_listener(&engine, listener).unwrap())
+            std::thread::spawn(move || serve_listener(&engine, listener, &defaults()).unwrap())
         };
         let stream = TcpStream::connect(addr).expect("connect to service");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -918,7 +888,7 @@ mod tests {
             let server = {
                 let engine = Arc::clone(&engine);
                 std::thread::spawn(move || {
-                    let served = serve_listener_with(&engine, listener, &ServeOptions::default());
+                    let served = serve_listener(&engine, listener, &defaults());
                     let _ = done_tx.send(());
                     served
                 })
@@ -939,6 +909,43 @@ mod tests {
             let served = server.join().expect("accept loop does not panic");
             assert!(served.is_ok(), "{op}: {served:?}");
         }
+    }
+
+    #[test]
+    fn tcp_shutdown_returns_while_another_client_sits_idle() {
+        use std::io::{BufRead as _, Write as _};
+        use std::sync::mpsc;
+
+        let engine = engine();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let server = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                // The default options: a 300 s idle timeout.
+                let served = serve_listener(&engine, listener, &defaults());
+                let _ = done_tx.send(());
+                served
+            })
+        };
+        // Connected first, so accepted first; it never sends a byte.
+        let idle = TcpStream::connect(addr).expect("connect the idle client");
+        let stream = TcpStream::connect(addr).expect("connect to service");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut w = stream;
+        writeln!(w, r#"{{"op":"shutdown"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(
+            Value::parse(&line).unwrap().get("op").unwrap().as_str(),
+            Some("shutdown")
+        );
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the idle client does not hold the server up");
+        assert!(server.join().expect("no panic").is_ok());
+        drop(idle);
     }
 
     #[test]

@@ -457,9 +457,9 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     };
     // The row kernel this job actually runs: served jobs always run
     // `Auto`, resolved against this CPU. Only a sweep — a score-only
-    // job's slab, plane or tile order, a `full` alignment's slab lattice,
-    // or a Hirschberg alignment's face sweeps — has SIMD rows; every
-    // other path runs scalar cells.
+    // job's slab, plane or tile order, a `full` or `tile-wavefront`
+    // alignment's lattice, or a Hirschberg alignment's face sweeps — has
+    // SIMD rows; every other path runs scalar cells.
     let swept = aligner
         .sweep_order(job.a.len(), job.b.len(), job.c.len(), job.score_only)
         .is_some();

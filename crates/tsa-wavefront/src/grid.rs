@@ -76,12 +76,16 @@ impl<T: Copy> SharedGrid<T> {
         self.cells.as_ptr() as *mut T
     }
 
-    /// Consume the grid, returning the underlying values. Requires `&mut`
-    /// semantics (ownership), so no concurrent access can remain.
+    /// Consume the grid, returning the underlying values in the same
+    /// allocation (no copy: a lattice-sized grid must not briefly exist
+    /// twice). Requires ownership, so no concurrent access can remain.
     pub fn into_vec(self) -> Vec<T> {
-        // UnsafeCell<T> has the same layout as T, but avoid transmuting:
-        // read each cell out; the compiler lowers this to a memcpy.
-        self.cells.iter().map(|c| unsafe { *c.get() }).collect()
+        let cells = Box::into_raw(self.cells) as *mut [T];
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+        // slice's allocation and layout are those of a `[T]` of the same
+        // length, every element initialized; the box is owned, and its
+        // ownership passes to the returned vector.
+        unsafe { Box::from_raw(cells) }.into_vec()
     }
 
     /// Read the whole grid into a fresh vector (requires exclusive access).

@@ -29,7 +29,6 @@ pub mod executor;
 pub mod grid;
 pub mod plane;
 pub mod profile;
-pub mod simulate;
 pub mod snapshot;
 pub mod stats;
 pub mod tiles;

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use tsa_wavefront::plane::{plane_cells, Extents};
-use tsa_wavefront::simulate;
 use tsa_wavefront::stats::WavefrontStats;
 use tsa_wavefront::TileGrid;
 
@@ -82,32 +81,5 @@ proptest! {
             prop_assert!(b <= p as f64 + 1e-9);
             prop_assert!(b >= 1.0 - 1e-9 || p == 1);
         }
-    }
-
-    #[test]
-    fn lpt_makespan_respects_classic_bounds(
-        costs in prop::collection::vec(0.0f64..100.0, 0..40),
-        p in 1usize..8,
-    ) {
-        let m = simulate::plane_makespan(&costs, p);
-        let sum: f64 = costs.iter().sum();
-        let max = costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        prop_assert!(m >= max - 1e-9);
-        prop_assert!(m >= sum / p as f64 - 1e-9);
-        prop_assert!(m <= sum + 1e-9);
-        // Graham's bound for greedy: m ≤ sum/p + max.
-        prop_assert!(m <= sum / p as f64 + max + 1e-9);
-    }
-
-    #[test]
-    fn unit_cost_simulation_equals_rounds(e in extents(), p in 1usize..8) {
-        let stats = WavefrontStats::for_cells(e);
-        let planes: Vec<Vec<f64>> = stats
-            .plane_sizes
-            .iter()
-            .map(|&s| vec![1.0; s])
-            .collect();
-        let sim = simulate::schedule_makespan(&planes, p, 0.0);
-        prop_assert!((sim - stats.rounds(p) as f64).abs() < 1e-9);
     }
 }

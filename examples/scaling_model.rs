@@ -81,6 +81,6 @@ fn main() {
     );
     println!(
         "  hirschberg peak:     {:>10.3} MiB",
-        memory::hirschberg(n, n, n) as f64 / 1048576.0
+        memory::hirschberg(n, n, n, false) as f64 / 1048576.0
     );
 }

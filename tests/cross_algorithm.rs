@@ -61,18 +61,19 @@ fn full_lattice_family_produces_identical_tracebacks() {
     // FullDp, Wavefront and TileWavefront share the canonical tie-break,
     // so their alignments are column-for-column identical. The reference
     // is the scalar slab lattice; `Auto` (what the service answers with:
-    // the SIMD slab lattice) must match it too.
+    // the SIMD slab lattice) must match it too, and so must the tile
+    // loop's lattice at every tile edge, ragged boundary tiles included.
     for (a, b, c) in workloads() {
         let reference = Aligner::new()
             .algorithm(Algorithm::FullDp)
             .kernel(SimdKernel::Scalar)
             .align3(&a, &b, &c)
             .unwrap();
-        for alg in [
-            Algorithm::Auto,
-            Algorithm::Wavefront,
-            Algorithm::TileWavefront { tile: 8 },
-        ] {
+        let tiled = [1, 4, 7, 8, 64].map(|tile| Algorithm::TileWavefront { tile });
+        for alg in [Algorithm::Auto, Algorithm::Wavefront]
+            .into_iter()
+            .chain(tiled)
+        {
             let aln = Aligner::new().algorithm(alg).align3(&a, &b, &c).unwrap();
             assert_eq!(aln.columns, reference.columns, "{alg:?}");
         }
