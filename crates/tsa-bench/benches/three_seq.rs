@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tsa_core::anchored::{self, AnchorConfig};
 use tsa_core::sweep::{Order, Sweep};
 use tsa_core::{
-    affine, banded3, carrillo_lipman, full, hirschberg3, local, wavefront, CancelToken, SimdKernel,
+    affine, carrillo_lipman, full, hirschberg3, local, wavefront, CancelToken, SimdKernel,
 };
 use tsa_scoring::GapModel;
 use tsa_scoring::Scoring;
@@ -49,13 +49,6 @@ fn bench_three_seq(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("carrillo_lipman", n), &n, |bch, _| {
             bch.iter(|| carrillo_lipman::align_score_with_stats(&a, &b, &cc, &scoring).0)
-        });
-        group.bench_with_input(BenchmarkId::new("banded_adaptive", n), &n, |bch, _| {
-            bch.iter(|| {
-                banded3::align_adaptive(&a, &b, &cc, &scoring, &never)
-                    .unwrap()
-                    .score
-            })
         });
         group.bench_with_input(BenchmarkId::new("local_sw3", n), &n, |bch, _| {
             bch.iter(|| local::align_score(&a, &b, &cc, &scoring))

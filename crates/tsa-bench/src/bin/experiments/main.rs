@@ -44,10 +44,7 @@ const IDS: &[(&str, &str)] = &[
     ("table7", "Carrillo-Lipman pruning effectiveness"),
     ("fig5", "simulated cluster scalability (alpha-beta model)"),
     ("table8", "progressive MSA vs exact optimum on triples"),
-    (
-        "table9",
-        "search-space reduction: full vs banded vs Carrillo-Lipman",
-    ),
+    ("table9", "search-space reduction: full vs Carrillo-Lipman"),
     ("fig6", "wavefront load profile over execution"),
     ("fig7", "measured plane profile vs model prediction"),
     ("table10", "anchored seed-chain-extend vs exact DP"),

@@ -1,16 +1,16 @@
 //! T3 — memory footprint vs length.
 //!
-//! Analytic score-storage bytes for each variant (`tsa-perfmodel::memory`)
-//! next to the *measured* allocation of the full lattice (the only one big
-//! enough to matter). The cubic-vs-quadratic separation is the reason the
-//! divide-and-conquer aligner exists.
+//! The planned peak bytes of each variant ([`Aligner::plan`], the figure
+//! the service's governor admits by) next to the *measured* allocation of
+//! the full lattice (the only one big enough to matter). The
+//! cubic-vs-quadratic separation is the reason the divide-and-conquer
+//! aligner exists.
 
 use tsa_bench::{table::Table, workload, RunConfig};
-use tsa_core::{full, CancelToken, SimdKernel};
-use tsa_perfmodel::memory;
-use tsa_scoring::Scoring;
+use tsa_core::{full, Algorithm, Aligner, CancelToken, SimdKernel};
+use tsa_scoring::{GapModel, Scoring};
 
-fn mib(bytes: usize) -> String {
+fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1 << 20) as f64)
 }
 
@@ -43,15 +43,21 @@ pub fn run(cfg: &RunConfig) {
         )
         .expect("uncancelled")
         .memory_bytes();
-        assert_eq!(measured, memory::full_lattice(n1, n2, n3));
+        let plan = |aligner: Aligner, algorithm, score_only| {
+            aligner.algorithm(algorithm).plan(n1, n2, n3, score_only)
+        };
+        let linear = |algorithm, score_only| plan(Aligner::new(), algorithm, score_only);
+        let full_dp = linear(Algorithm::FullDp, false);
+        assert_eq!(full_dp.lattice_bytes, Some(measured));
+        let affine = Aligner::new().gap(GapModel::affine(-4, -1));
         t.row(vec![
             n.to_string(),
-            mib(memory::full_lattice(n1, n2, n3)),
-            mib(measured),
-            mib(memory::affine_lattice(n1, n2, n3)),
-            mib(memory::slab_score(n2, n3)),
-            mib(memory::plane_score(n1, n2)),
-            mib(memory::hirschberg(n1, n2, n3, false)),
+            mib(full_dp.peak_bytes),
+            mib(measured as u64),
+            mib(plan(affine, Algorithm::AffineDp, false).peak_bytes),
+            mib(linear(Algorithm::FullDp, true).peak_bytes),
+            mib(linear(Algorithm::Wavefront, true).peak_bytes),
+            mib(linear(Algorithm::Hirschberg, false).peak_bytes),
         ]);
     }
     t.print();

@@ -1,13 +1,11 @@
-//! T9 — search-space reduction shoot-out: full DP vs adaptive banding vs
-//! Carrillo–Lipman pruning.
+//! T9 — search-space reduction: full DP vs Carrillo–Lipman pruning.
 //!
-//! Banding needs no precomputation but guesses its region (and re-runs on
-//! a doubled band when the guess was tight); CL pruning pays six pairwise
-//! matrices + a heuristic seed for a provably sufficient region. The
-//! crossover depends on divergence — this table shows it.
+//! CL pruning pays six pairwise matrices + a heuristic seed for a
+//! provably sufficient region; how much of the lattice it keeps depends
+//! on divergence — this table shows it.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{banded3, carrillo_lipman, full, CancelToken};
+use tsa_core::{carrillo_lipman, full};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -18,7 +16,6 @@ pub fn run(cfg: &RunConfig) {
         &[
             "sub_rate",
             "full_ms",
-            "banded_ms",
             "cl_ms",
             "cl_visited_pct",
             "all_equal",
@@ -30,26 +27,18 @@ pub fn run(cfg: &RunConfig) {
         let (a, b, c) = fam.triple();
         let (reference, t_full) =
             timing::best_of(cfg.reps(), || full::align_score(a, b, c, &scoring));
-        let (banded, t_banded) = timing::best_of(cfg.reps(), || {
-            banded3::align_adaptive(a, b, c, &scoring, &CancelToken::never()).unwrap()
-        });
         let ((cl_score, cl_stats), t_cl) = timing::best_of(cfg.reps(), || {
             carrillo_lipman::align_score_with_stats(a, b, c, &scoring)
         });
-        assert_eq!(
-            banded.score, reference,
-            "banding lost the optimum at {rate}"
-        );
         assert_eq!(cl_score, reference, "pruning lost the optimum at {rate}");
         t.row(vec![
             format!("{rate:.2}"),
             timing::fmt_ms(t_full),
-            timing::fmt_ms(t_banded),
             timing::fmt_ms(t_cl),
             format!("{:.1}", 100.0 * cl_stats.visited_fraction()),
             "true".into(),
         ]);
     }
-    println!("  (n={n}; banded = adaptive doubling from w=4, CL = center-star seed)");
+    println!("  (n={n}; CL = center-star seed)");
     t.print();
 }

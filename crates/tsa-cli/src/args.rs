@@ -29,7 +29,7 @@ ALIGN OPTIONS:
     --gap-extend <e>     affine gap extend
     --algorithm <name>   auto | full | wavefront | tile-wavefront |
                          hirschberg | par-hirschberg | center-star |
-                         carrillo-lipman | banded | anchored | affine       [auto]
+                         carrillo-lipman | anchored | affine                [auto]
     --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2    [auto]
                          (bit-identical scores; auto takes the widest set
                          the CPU supports, and a request it lacks degrades)
@@ -44,7 +44,11 @@ ALIGN OPTIONS:
                          figures plus the cost-model comparison on stderr
 
 PLAN OPTIONS (tsa plan --n1 <len> --n2 <len> --n3 <len>):
-    --tile <t>           tile edge of the modeled tile schedule             [16]
+    prints the lattice's plane profile, each algorithm's plan for an
+    alignment and a score-only job (what runs, its sweep and checkpoint
+    kind, cell updates and peak bytes) and the modeled speedup
+    --tile <t>           tile edge of tile-wavefront and of the modeled
+                         tile schedule                                      [16]
     --t-cell <ns>        assumed per-cell cost in nanoseconds               [10]
 
 GEN OPTIONS:
@@ -59,9 +63,9 @@ SERVICE OPTIONS (tsa serve / tsa batch):
     --queue <n>          bounded queue capacity (backpressure beyond it)    [64]
     --cache <n>          result-cache entries, 0 disables                   [1024]
     --deadline-ms <ms>   default per-job deadline (absent = none)
-    --memory-budget <b>  cap on estimated kernel bytes, per job and summed
-                         over in-flight jobs; K/M/G suffixes accepted
-    --max-cells <n>      per-job cap on estimated DP cell updates
+    --memory-budget <b>  cap on planned kernel bytes (`tsa plan`), per job
+                         and summed over in-flight jobs; K/M/G suffixes
+    --max-cells <n>      per-job cap on planned DP cell updates
     --state-dir <dir>    durable state: crash-safe job journal plus kernel
                          checkpoint snapshots; a restart with the same dir
                          recovers finished jobs and resumes in-flight ones

@@ -5,8 +5,10 @@ use crate::args::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tsa_core::{bounds, format, Aligner};
-use tsa_perfmodel::{memory, model, planes, ClusterModel, CostModel};
+use tsa_core::sweep::Order;
+use tsa_core::{bounds, format, Algorithm, Aligner, KernelKind};
+use tsa_perfmodel::{model, planes, ClusterModel, CostModel};
+use tsa_scoring::GapModel;
 use tsa_seq::family::FamilyConfig;
 use tsa_seq::{fasta, Alphabet, Seq};
 use tsa_service::{Engine, FlightRecorder, RecorderConfig, ServiceConfig};
@@ -443,23 +445,54 @@ fn run_plan(p: PlanArgs) -> Result<(), String> {
         profile.iter().max().unwrap_or(&0),
         model::speedup_cap(&profile)
     );
-    println!("\nmemory:");
+    println!("\nplans (dna scoring, 4 GiB lattice budget; affine under an affine gap):");
     println!(
-        "  full lattice     {:>12} bytes",
-        memory::full_lattice(n1, n2, n3)
+        "  {:<16} {:<6} {:<16} {:<7} {:<10} {:>14} {:>14}",
+        "algorithm", "job", "runs", "sweep", "checkpoint", "cells", "peak_bytes"
     );
-    println!(
-        "  affine lattice   {:>12} bytes",
-        memory::affine_lattice(n1, n2, n3)
-    );
-    println!(
-        "  score-only slabs {:>12} bytes",
-        memory::slab_score(n2, n3)
-    );
-    println!(
-        "  hirschberg peak  {:>12} bytes",
-        memory::hirschberg(n1, n2, n3, false)
-    );
+    let algorithms = [
+        Algorithm::Auto,
+        Algorithm::FullDp,
+        Algorithm::Wavefront,
+        Algorithm::TileWavefront { tile: p.tile },
+        Algorithm::Hirschberg,
+        Algorithm::ParallelHirschberg,
+        Algorithm::CarrilloLipman,
+        Algorithm::CenterStar,
+        Algorithm::Anchored,
+        Algorithm::AffineDp,
+    ];
+    for algorithm in algorithms {
+        let aligner = match algorithm {
+            Algorithm::AffineDp => Aligner::new().gap(GapModel::affine(-4, -1)),
+            _ => Aligner::new(),
+        }
+        .algorithm(algorithm);
+        for score_only in [false, true] {
+            let plan = aligner.plan(n1, n2, n3, score_only);
+            let sweep = match plan.order {
+                Some(Order::Slabs) => "slabs",
+                Some(Order::Planes) => "planes",
+                Some(Order::Tiles { .. }) => "tiles",
+                None => "-",
+            };
+            let checkpoint = match plan.checkpoint {
+                Some(KernelKind::Slabs) => "slabs",
+                Some(KernelKind::Planes) => "planes",
+                None => "-",
+            };
+            println!(
+                "  {:<16} {:<6} {:<16} {:<7} {:<10} {:>14} {:>14}",
+                algorithm.name(),
+                if score_only { "score" } else { "align" },
+                plan.algorithm.name(),
+                sweep,
+                checkpoint,
+                plan.cells,
+                plan.peak_bytes
+            );
+        }
+    }
     let m = CostModel::ideal(p.t_cell_ns);
     let eth = ClusterModel::ethernet(p.t_cell_ns);
     println!(

@@ -67,7 +67,6 @@ fn align_all_algorithms_agree_through_the_binary() {
         "hirschberg",
         "par-hirschberg",
         "carrillo-lipman",
-        "banded",
     ] {
         let (stdout, stderr, ok) = run(&[
             "align",
@@ -136,6 +135,15 @@ fn plan_subcommand_prints_model() {
     let (stdout, _, ok) = run(&["plan", "--n1", "64", "--n2", "64", "--n3", "64"]);
     assert!(ok);
     assert!(stdout.contains("lattice 64×64×64"));
+    // One plan line per algorithm and job kind: a default score job runs
+    // the full DP's slab sweep and checkpoints as slabs.
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.split_whitespace().collect::<Vec<_>>()
+                == ["auto", "score", "full", "slabs", "slabs", "274625", "33800"]),
+        "{stdout}"
+    );
     assert!(stdout.contains("predicted speedup"));
     assert!(stdout.contains("ethernet-cluster"));
 }

@@ -6,9 +6,7 @@ use crate::cancel::{CancelProgress, CancelToken};
 use crate::checkpoint::{CheckpointConfig, DurableStop, FrontierSnapshot, KernelKind, ResumeError};
 use crate::kernel::SimdKernel;
 use crate::sweep::{self, Checkpoint, Order, Sweep};
-use crate::{
-    affine, anchored, banded3, carrillo_lipman, center_star, full, hirschberg3, wavefront,
-};
+use crate::{affine, anchored, carrillo_lipman, center_star, full, hirschberg3, wavefront};
 use std::fmt;
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -19,7 +17,7 @@ use tsa_seq::Seq;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Choose automatically, the fastest exact schedule for the job (see
-    /// [`Aligner::resolve_job`]): the affine DP for affine gap models,
+    /// [`Aligner::plan`]): the affine DP for affine gap models,
     /// sequential divide and conquer when the full lattice would exceed
     /// the memory budget, and the full-lattice DP otherwise. Both linear
     /// choices run the aligner's SIMD slab rows. Score-only jobs run the
@@ -52,9 +50,6 @@ pub enum Algorithm {
     /// Carrillo–Lipman bound-pruned DP: exact, and far cheaper than the
     /// full lattice when the sequences are similar.
     CarrilloLipman,
-    /// Banded DP with adaptive band widening — exact (the final fallback
-    /// band covers the whole lattice) and cheap for similar sequences.
-    BandedAdaptive,
     /// Seed–chain–extend heuristic (**not exact**): exact DP only between
     /// shared k-mer anchors. Near-linear for similar sequences.
     Anchored,
@@ -78,7 +73,6 @@ impl Algorithm {
             "par-hirschberg" => Algorithm::ParallelHirschberg,
             "center-star" => Algorithm::CenterStar,
             "carrillo-lipman" => Algorithm::CarrilloLipman,
-            "banded" => Algorithm::BandedAdaptive,
             "anchored" => Algorithm::Anchored,
             "affine" => Algorithm::AffineDp,
             _ => return None,
@@ -96,7 +90,6 @@ impl Algorithm {
             Algorithm::ParallelHirschberg => "par-hirschberg",
             Algorithm::CenterStar => "center-star",
             Algorithm::CarrilloLipman => "carrillo-lipman",
-            Algorithm::BandedAdaptive => "banded",
             Algorithm::Anchored => "anchored",
             Algorithm::AffineDp => "affine",
         }
@@ -146,6 +139,33 @@ impl fmt::Display for AlignError {
 }
 
 impl std::error::Error for AlignError {}
+
+/// What one job runs and what it costs, fixed by [`Aligner::plan`] from
+/// the sequence lengths and whether only the score is wanted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    /// The algorithm that runs; never [`Algorithm::Auto`].
+    pub algorithm: Algorithm,
+    /// The [`crate::sweep`] order whose rows (hence SIMD rows) run: the
+    /// score sweep of a score-only job; for an alignment, the slab loop
+    /// of `FullDp` (every slab kept), the face sweeps of both Hirschbergs
+    /// or the tile loop of `TileWavefront`. `None` for the per-cell
+    /// `Wavefront` fill and the algorithms without a sweep.
+    pub order: Option<Order>,
+    /// The snapshot kind a score-only job checkpoints as through
+    /// [`Aligner::score3_durable`]; `None` when it cannot checkpoint, and
+    /// for every alignment.
+    pub checkpoint: Option<KernelKind>,
+    /// Bytes of the `i32` score lattice the run materializes, which
+    /// `max_lattice_bytes` caps; `None` when it keeps none.
+    pub lattice_bytes: Option<usize>,
+    /// DP cell updates the run performs (estimated for divide and
+    /// conquer, the cubic bound for the pruned DP).
+    pub cells: u64,
+    /// Peak working-set bytes of the run's dominant buffers, less the
+    /// `O(n)` terms (sequences, substitution profiles, traceback columns).
+    pub peak_bytes: u64,
+}
 
 /// Builder for three-sequence alignment runs.
 ///
@@ -234,13 +254,17 @@ impl Aligner {
     }
 
     /// The effective algorithm `Auto` would resolve to for an alignment
-    /// of these lengths: [`Aligner::resolve_job`] of an alignment job.
+    /// of these lengths: the [`Plan::algorithm`] of an alignment job.
     pub fn resolve(&self, n1: usize, n2: usize, n3: usize) -> Algorithm {
-        self.resolve_job(n1, n2, n3, false)
+        self.plan(n1, n2, n3, false).algorithm
     }
 
-    /// The effective algorithm `Auto` resolves to for a job of these
-    /// lengths, by three rules:
+    /// What a job of these lengths runs, what it costs and how it
+    /// checkpoints: the one decision behind [`Aligner::align3`] and
+    /// friends, the service's admission, cache key and recovery, and
+    /// `tsa plan`.
+    ///
+    /// `Auto` resolves by three rules:
     ///
     /// 1. an affine gap model runs [`Algorithm::AffineDp`];
     /// 2. a score-only job whose four `(n1+1)(n2+1)` planes hold fewer
@@ -252,100 +276,86 @@ impl Aligner {
     ///
     /// The SIMD slab lattice beats the per-cell plane wavefront and the
     /// slab score sweep beats the plane and tile orders on every measured
-    /// job shape. Sequential Hirschberg beats the parallel one up to
-    /// n = 128 and leaves the other cores to concurrent jobs; the
-    /// parallel one wins at n = 256 on an idle 2-core host (`fig2`). Any
-    /// other algorithm resolves to itself.
-    pub fn resolve_job(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Algorithm {
-        if self.algorithm != Algorithm::Auto {
-            return self.algorithm;
-        }
-        if self.scoring.gap.linear_penalty().is_none() {
-            return Algorithm::AffineDp;
-        }
-        if score_only && n3 + 1 > 2 * (n1 + 1) {
-            return Algorithm::Wavefront;
-        }
-        if lattice_bytes(n1, n2, n3) > self.max_lattice_bytes {
-            Algorithm::Hirschberg
-        } else {
-            Algorithm::FullDp
-        }
-    }
-
-    /// The sweep order the score path of `algorithm` runs, if it has one.
-    fn score_order(algorithm: Algorithm) -> Option<Order> {
-        match algorithm {
-            Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
-                Some(Order::Slabs)
-            }
-            Algorithm::Wavefront => Some(Order::Planes),
-            Algorithm::TileWavefront { tile } => Some(Order::Tiles { tile }),
-            _ => None,
-        }
-    }
-
-    /// The [`crate::sweep`] order a job of these lengths runs: the score
-    /// sweep of a score-only job; for an alignment, the slab loop of
-    /// `FullDp` (every slab kept), the face sweeps of both Hirschbergs or
-    /// the tile loop of `TileWavefront`. `None` when no sweep (hence no
-    /// SIMD row kernel) runs: a `Wavefront` alignment fills per cell.
-    pub fn sweep_order(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Option<Order> {
-        match self.resolve_job(n1, n2, n3, score_only) {
-            Algorithm::Wavefront if !score_only => None,
-            alg => Self::score_order(alg),
-        }
-    }
-
-    /// The checkpointable kernel the score path of the algorithm a
-    /// score-only job resolves to maps to, if any: the slab sweep for
-    /// `FullDp` and both Hirschbergs, the plane sweep for `Wavefront` and
-    /// `TileWavefront`. `None` means [`Aligner::score3_durable`] cannot
-    /// checkpoint or resume for these lengths.
-    pub fn durable_kind(&self, n1: usize, n2: usize, n3: usize) -> Option<KernelKind> {
-        Self::score_order(self.resolve_job(n1, n2, n3, true)).map(Order::checkpoint_kind)
-    }
-
-    /// Configuration checks for `algorithm`, run once per job: the gap
-    /// model, the full-lattice budget (for paths that materialize the
-    /// cube), and the tile edge.
-    fn check(
-        &self,
-        algorithm: Algorithm,
-        order: Option<Order>,
-        n: [usize; 3],
-    ) -> Result<(), AlignError> {
-        if algorithm != Algorithm::AffineDp && self.scoring.gap.linear_penalty().is_none() {
-            return Err(AlignError::AffineGapNeedsAffineAlgorithm);
-        }
-        let full_lattice = match order {
-            Some(order) => matches!(order, Order::Tiles { .. }),
-            None => matches!(
-                algorithm,
-                Algorithm::FullDp
-                    | Algorithm::Wavefront
-                    | Algorithm::TileWavefront { .. }
-                    | Algorithm::CarrilloLipman
-                    | Algorithm::BandedAdaptive
-            ),
+    /// job shape. Sequential Hirschberg leaves the other cores to
+    /// concurrent jobs; alone on an idle 2-core host the parallel one
+    /// finishes first from n = 64 on (`fig2`). Any other algorithm
+    /// resolves to itself.
+    pub fn plan(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Plan {
+        const CELL: usize = std::mem::size_of::<i32>();
+        let cube = (n1 + 1) * (n2 + 1) * (n3 + 1);
+        let lattice = cube * CELL;
+        let algorithm = match self.algorithm {
+            Algorithm::Auto if self.scoring.gap.linear_penalty().is_none() => Algorithm::AffineDp,
+            Algorithm::Auto if score_only && n3 + 1 > 2 * (n1 + 1) => Algorithm::Wavefront,
+            Algorithm::Auto if lattice > self.max_lattice_bytes => Algorithm::Hirschberg,
+            Algorithm::Auto => Algorithm::FullDp,
+            pinned => pinned,
         };
-        let required = lattice_bytes(n[0], n[1], n[2]);
-        if full_lattice && required > self.max_lattice_bytes {
-            return Err(AlignError::LatticeTooLarge {
-                required,
-                budget: self.max_lattice_bytes,
-            });
+        let pairwise = (n1 + 1) * (n2 + 1) + (n1 + 1) * (n3 + 1) + (n2 + 1) * (n3 + 1);
+        // (sweep order, materialized lattice, cell updates, peak bytes).
+        let (order, lattice_bytes, cells, peak_bytes) = match algorithm {
+            Algorithm::Auto => unreachable!("Auto resolves above"),
+            // Score-only jobs of the sweep algorithms run a rolling sweep:
+            // two `(n2+1)(n3+1)` slabs or four `(n1+1)(n2+1)` planes.
+            Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg
+                if score_only =>
+            {
+                let slabs = 2 * (n2 + 1) * (n3 + 1) * CELL;
+                (Some(Order::Slabs), None, cube, slabs)
+            }
+            Algorithm::Wavefront if score_only => {
+                let planes = 4 * (n1 + 1) * (n2 + 1) * CELL;
+                (Some(Order::Planes), None, cube, planes)
+            }
+            // The lattice algorithms: the slab loop with every slab kept,
+            // the tile loop's lattice (score-only jobs too), the per-cell
+            // plane fill.
+            Algorithm::FullDp => (Some(Order::Slabs), Some(lattice), cube, lattice),
+            Algorithm::TileWavefront { tile } => {
+                (Some(Order::Tiles { tile }), Some(lattice), cube, lattice)
+            }
+            // The per-cell fill also lists the cells of its current plane:
+            // at most the product of the two shorter axes, `(i, j, k)` each.
+            Algorithm::Wavefront => {
+                let mut axes = [n1 + 1, n2 + 1, n3 + 1];
+                axes.sort_unstable();
+                let plane_list = axes[0] * axes[1] * std::mem::size_of::<[usize; 3]>();
+                (None, Some(lattice), cube, lattice + plane_list)
+            }
+            // Slab faces in quadratic space, at most twice the cell updates.
+            Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
+                let parallel = algorithm == Algorithm::ParallelHirschberg;
+                let peak = hirschberg3::peak_bytes(n1, n2, n3, parallel);
+                (Some(Order::Slabs), None, 2 * cube, peak)
+            }
+            // The lattice, plus the three pairwise "through" matrices the
+            // bound reads while filling it.
+            Algorithm::CarrilloLipman => (None, Some(lattice), cube, lattice + pairwise * CELL),
+            // Seven gap states per lattice cell. The budget caps only the
+            // `i32` score lattice, so this one is priced but not capped.
+            Algorithm::AffineDp => (None, None, 7 * cube, 7 * lattice),
+            // Pairwise-driven heuristics: quadratic time; the merged
+            // alignment's three rows of `Option<u8>` dominate their space.
+            Algorithm::CenterStar | Algorithm::Anchored => {
+                let rows = 3 * (n1 + n2 + n3) * std::mem::size_of::<Option<u8>>();
+                (None, None, pairwise, rows)
+            }
+        };
+        Plan {
+            algorithm,
+            order,
+            checkpoint: order.filter(|_| score_only).map(Order::checkpoint_kind),
+            lattice_bytes,
+            cells: cells as u64,
+            peak_bytes: peak_bytes as u64,
         }
-        if algorithm == (Algorithm::TileWavefront { tile: 0 }) {
-            return Err(AlignError::BadParameter("tile must be ≥ 1"));
-        }
-        Ok(())
     }
 
-    /// The one dispatch behind every entry point. Score-only jobs of the
-    /// sweep algorithms run the [`crate::sweep`] engine (checkpointed when
-    /// `checkpoint` is set); everything else runs its lattice algorithm.
-    /// Every exact algorithm polls `cancel` once per slab or plane.
+    /// The one dispatch behind every entry point, on the job's
+    /// [`Aligner::plan`]. Score-only jobs of the sweep algorithms run the
+    /// [`crate::sweep`] engine (checkpointed when `checkpoint` is set);
+    /// everything else runs its lattice algorithm. Every exact algorithm
+    /// polls `cancel` once per slab or plane.
     fn run(
         &self,
         a: &Seq,
@@ -356,11 +366,25 @@ impl Aligner {
         checkpoint: Option<Checkpoint<'_>>,
     ) -> Result<(i32, Option<Alignment3>), DurableStop> {
         let s = &self.scoring;
-        let algorithm = self.resolve_job(a.len(), b.len(), c.len(), score_only);
-        let order = Self::score_order(algorithm).filter(|_| score_only);
-        self.check(algorithm, order, [a.len(), b.len(), c.len()])
-            .map_err(DurableStop::Config)?;
-        if let Some(order) = order {
+        let plan = self.plan(a.len(), b.len(), c.len(), score_only);
+        let algorithm = plan.algorithm;
+        if algorithm != Algorithm::AffineDp && s.gap.linear_penalty().is_none() {
+            return Err(DurableStop::Config(
+                AlignError::AffineGapNeedsAffineAlgorithm,
+            ));
+        }
+        if let Some(required) = plan.lattice_bytes.filter(|&b| b > self.max_lattice_bytes) {
+            return Err(DurableStop::Config(AlignError::LatticeTooLarge {
+                required,
+                budget: self.max_lattice_bytes,
+            }));
+        }
+        if algorithm == (Algorithm::TileWavefront { tile: 0 }) {
+            return Err(DurableStop::Config(AlignError::BadParameter(
+                "tile must be ≥ 1",
+            )));
+        }
+        if let Some(order) = plan.order.filter(|_| score_only) {
             let sweep = Sweep {
                 order,
                 kernel: self.kernel,
@@ -377,7 +401,7 @@ impl Aligner {
         }
         let traced = |lat: full::Lattice| full::traceback(&lat, a, b, c, s);
         let aln = match algorithm {
-            Algorithm::Auto => unreachable!("resolve() never returns Auto"),
+            Algorithm::Auto => unreachable!("plan() never returns Auto"),
             Algorithm::FullDp => full::fill(a, b, c, s, self.kernel, cancel).map(traced),
             Algorithm::Wavefront => wavefront::fill(a, b, c, s, cancel).map(traced),
             Algorithm::TileWavefront { tile } => {
@@ -388,7 +412,6 @@ impl Aligner {
                 hirschberg3::align(a, b, c, s, parallel, self.kernel, cancel)
             }
             Algorithm::CarrilloLipman => carrillo_lipman::align(a, b, c, s, cancel),
-            Algorithm::BandedAdaptive => banded3::align_adaptive(a, b, c, s, cancel),
             Algorithm::AffineDp if score_only => {
                 let lat = affine::fill(a, b, c, s, cancel).map_err(DurableStop::Cancelled)?;
                 return Ok((lat.final_score(), None));
@@ -462,7 +485,7 @@ impl Aligner {
     /// and, when `resume` carries a fingerprint-matching snapshot,
     /// continue the sweep instead of starting over — with a score
     /// bit-identical to an uninterrupted run. Algorithms without a
-    /// checkpointable score sweep (see [`Aligner::durable_kind`]) run
+    /// checkpointable score sweep (no [`Plan::checkpoint`]) run
     /// their cancellable path and reject any offered snapshot.
     pub fn score3_durable(
         &self,
@@ -490,11 +513,6 @@ fn align_error(stop: DurableStop) -> AlignError {
     }
 }
 
-/// Bytes a full `i32` lattice for these lengths needs.
-pub fn lattice_bytes(n1: usize, n2: usize, n3: usize) -> usize {
-    (n1 + 1) * (n2 + 1) * (n3 + 1) * std::mem::size_of::<i32>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +533,6 @@ mod tests {
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
             Algorithm::CarrilloLipman,
-            Algorithm::BandedAdaptive,
         ] {
             let aln = Aligner::new().algorithm(alg).align3(&a, &b, &c).unwrap();
             assert_eq!(aln.score, reference.score, "{alg:?}");
@@ -551,13 +568,12 @@ mod tests {
             Algorithm::ParallelHirschberg,
             Algorithm::CenterStar,
             Algorithm::CarrilloLipman,
-            Algorithm::BandedAdaptive,
             Algorithm::Anchored,
             Algorithm::AffineDp,
         ] {
             assert_eq!(Algorithm::by_name(alg.name(), 8), Some(alg));
         }
-        for retired in ["nope", "blocked", "dataflow"] {
+        for retired in ["nope", "blocked", "dataflow", "banded"] {
             assert_eq!(Algorithm::by_name(retired, 8), None);
         }
     }
@@ -589,44 +605,56 @@ mod tests {
 
     #[test]
     fn auto_score_jobs_sweep_the_smaller_rolling_buffers() {
-        use crate::checkpoint::KernelKind;
         let al = Aligner::new();
+        let algorithm = |al: &Aligner, n1, n2, n3| al.plan(n1, n2, n3, true).algorithm;
         // Rule 1: an affine gap model runs the affine DP, score-only or not.
         let affine = Aligner::new().gap(GapModel::affine(-4, -1));
-        assert_eq!(
-            affine.resolve_job(1, 20_000, 20_000, true),
-            Algorithm::AffineDp
-        );
+        assert_eq!(algorithm(&affine, 1, 20_000, 20_000), Algorithm::AffineDp);
         // Rule 2: two (n2+1)(n3+1) slabs against four (n1+1)(n2+1) planes:
         // the slabs win ties, the planes win once n3 + 1 > 2(n1 + 1).
-        assert_eq!(al.resolve_job(9, 5, 19, true), Algorithm::FullDp);
-        assert_eq!(al.resolve_job(9, 5, 20, true), Algorithm::Wavefront);
+        assert_eq!(algorithm(&al, 9, 5, 19), Algorithm::FullDp);
+        assert_eq!(algorithm(&al, 9, 5, 20), Algorithm::Wavefront);
         // 1×20000×20000: 320 KB of planes instead of 3.2 GB of slabs.
-        assert_eq!(
-            al.resolve_job(1, 20_000, 20_000, true),
-            Algorithm::Wavefront
-        );
-        assert_eq!(al.durable_kind(1, 20_000, 20_000), Some(KernelKind::Planes));
-        assert_eq!(al.sweep_order(1, 20_000, 20_000, true), Some(Order::Planes));
+        let lopsided = al.plan(1, 20_000, 20_000, true);
+        assert_eq!(lopsided.algorithm, Algorithm::Wavefront);
+        assert_eq!(lopsided.checkpoint, Some(KernelKind::Planes));
+        assert_eq!(lopsided.order, Some(Order::Planes));
+        assert_eq!(lopsided.peak_bytes, 4 * 2 * 20_001 * 4);
         // Rule 3: an alignment keeps the slab lattice whatever the shape,
         // and so does a balanced score job...
         assert_eq!(al.resolve(1, 20_000, 20_000), Algorithm::FullDp);
-        assert_eq!(al.sweep_order(1, 20_000, 20_000, false), Some(Order::Slabs));
+        assert_eq!(al.plan(1, 20_000, 20_000, false).order, Some(Order::Slabs));
         // ...down to divide and conquer over the lattice budget. The plane
         // sweep holds no lattice, so the budget does not move rule 2.
         let small = Aligner::new().max_lattice_bytes(1 << 20);
-        assert_eq!(
-            small.resolve_job(100, 100, 100, true),
-            Algorithm::Hirschberg
-        );
+        assert_eq!(algorithm(&small, 100, 100, 100), Algorithm::Hirschberg);
         assert_eq!(small.resolve(100, 100, 100), Algorithm::Hirschberg);
-        assert_eq!(small.resolve_job(10, 300, 3000, true), Algorithm::Wavefront);
-        assert_eq!(small.durable_kind(10, 300, 3000), Some(KernelKind::Planes));
+        assert_eq!(algorithm(&small, 10, 300, 3000), Algorithm::Wavefront);
+        assert_eq!(
+            small.plan(10, 300, 3000, true).checkpoint,
+            Some(KernelKind::Planes)
+        );
+        // Whatever the shape, a score job holds the smaller of the two.
+        for (n1, n2, n3) in [
+            (100, 100, 100),
+            (9, 5, 19),
+            (9, 5, 20),
+            (1, 20_000, 20_000),
+            (100, 2_000, 10_000),
+        ] {
+            let slabs = 2 * (n2 + 1) * (n3 + 1) * 4;
+            let planes = 4 * (n1 + 1) * (n2 + 1) * 4;
+            assert_eq!(
+                al.plan(n1, n2, n3, true).peak_bytes,
+                slabs.min(planes) as u64,
+                "{n1}×{n2}×{n3}"
+            );
+        }
         // A lopsided score job scores like the full DP.
         let (a, _, _) = family_triple(5, 3);
         let (_, b, c) = family_triple(6, 24);
         assert_eq!(
-            al.resolve_job(a.len(), b.len(), c.len(), true),
+            algorithm(&al, a.len(), b.len(), c.len()),
             Algorithm::Wavefront
         );
         assert_eq!(
@@ -636,8 +664,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_order_names_the_sweep_each_alignment_runs() {
-        let order = |alg| Aligner::new().algorithm(alg).sweep_order(8, 8, 8, false);
+    fn plan_names_the_sweep_each_job_runs() {
+        let plan = |alg, score_only| Aligner::new().algorithm(alg).plan(8, 8, 8, score_only);
+        let order = |alg| plan(alg, false).order;
         assert_eq!(order(Algorithm::FullDp), Some(Order::Slabs));
         assert_eq!(order(Algorithm::Hirschberg), Some(Order::Slabs));
         assert_eq!(order(Algorithm::ParallelHirschberg), Some(Order::Slabs));
@@ -647,9 +676,55 @@ mod tests {
         // SIMD rows.
         assert_eq!(order(Algorithm::Wavefront), None);
         assert_eq!(order(Algorithm::CarrilloLipman), None);
-        let score = |alg| Aligner::new().algorithm(alg).sweep_order(8, 8, 8, true);
-        assert_eq!(score(Algorithm::Wavefront), Some(Order::Planes));
-        assert_eq!(score(Algorithm::ParallelHirschberg), Some(Order::Slabs));
+        assert_eq!(plan(Algorithm::Wavefront, true).order, Some(Order::Planes));
+        assert_eq!(
+            plan(Algorithm::ParallelHirschberg, true).order,
+            Some(Order::Slabs)
+        );
+        // Alignments never checkpoint.
+        for alg in [Algorithm::Auto, Algorithm::FullDp, Algorithm::Wavefront] {
+            assert_eq!(plan(alg, false).checkpoint, None, "{alg:?}");
+        }
+    }
+
+    #[test]
+    fn plan_prices_the_buffers_each_dispatch_holds() {
+        let (n1, n2, n3) = (9usize, 19, 29);
+        let cube = (10 * 20 * 30) as u64;
+        let plan = |alg, score_only| Aligner::new().algorithm(alg).plan(n1, n2, n3, score_only);
+        let full = plan(Algorithm::FullDp, false);
+        assert_eq!(full.lattice_bytes, Some(4 * cube as usize));
+        assert_eq!((full.cells, full.peak_bytes), (cube, 4 * cube));
+        // Rolling score sweeps: two slabs, four planes; no lattice.
+        let slabs = plan(Algorithm::FullDp, true);
+        assert_eq!(
+            (slabs.lattice_bytes, slabs.peak_bytes),
+            (None, 2 * 20 * 30 * 4)
+        );
+        let planes = plan(Algorithm::Wavefront, true);
+        assert_eq!(planes.peak_bytes, 4 * 10 * 20 * 4);
+        // The tile loop keeps its lattice for scores too.
+        let tiles = plan(Algorithm::TileWavefront { tile: 4 }, true);
+        assert_eq!(tiles.lattice_bytes, Some(4 * cube as usize));
+        // Divide and conquer: twice the cells in quadratic space.
+        let dc = plan(Algorithm::Hirschberg, false);
+        assert_eq!(dc.cells, 2 * cube);
+        assert!(dc.peak_bytes < full.peak_bytes);
+        assert_eq!(dc.lattice_bytes, None);
+        // Carrillo–Lipman adds its three pairwise through matrices.
+        let cl = plan(Algorithm::CarrilloLipman, true);
+        assert_eq!(cl.peak_bytes, 4 * (cube + 10 * 20 + 10 * 30 + 20 * 30));
+        // Seven affine states per cell, priced but not capped.
+        let affine = Aligner::new()
+            .gap(GapModel::affine(-4, -1))
+            .plan(n1, n2, n3, false);
+        assert_eq!(affine.algorithm, Algorithm::AffineDp);
+        assert_eq!((affine.cells, affine.peak_bytes), (7 * cube, 28 * cube));
+        assert_eq!(affine.lattice_bytes, None);
+        // The heuristics are quadratic in time, linear in space.
+        let star = plan(Algorithm::CenterStar, false);
+        assert_eq!(star.cells, 10 * 20 + 10 * 30 + 20 * 30);
+        assert_eq!(star.peak_bytes, 3 * (9 + 19 + 29) * 2);
     }
 
     #[test]
@@ -818,49 +893,58 @@ mod tests {
     }
 
     #[test]
-    fn durable_kind_maps_score_kernels() {
-        let al = Aligner::new();
-        use crate::checkpoint::KernelKind;
+    fn plan_checkpoint_maps_score_kernels() {
+        let kind = |al: Aligner| al.plan(8, 8, 8, true).checkpoint;
+        let pinned = |alg| Aligner::new().algorithm(alg);
+        assert_eq!(kind(pinned(Algorithm::Hirschberg)), Some(KernelKind::Slabs));
+        assert_eq!(kind(pinned(Algorithm::Wavefront)), Some(KernelKind::Planes));
+        assert_eq!(kind(Aligner::new()), Some(KernelKind::Slabs)); // Auto
+                                                                   // Both Hirschbergs score through the slab sweep.
         assert_eq!(
-            Aligner::new()
-                .algorithm(Algorithm::Hirschberg)
-                .durable_kind(8, 8, 8),
-            Some(KernelKind::Slabs)
-        );
-        assert_eq!(
-            Aligner::new()
-                .algorithm(Algorithm::Wavefront)
-                .durable_kind(8, 8, 8),
-            Some(KernelKind::Planes)
-        );
-        assert_eq!(al.durable_kind(8, 8, 8), Some(KernelKind::Slabs)); // Auto
-
-        // Both Hirschbergs score through the slab sweep.
-        assert_eq!(
-            Aligner::new()
-                .algorithm(Algorithm::ParallelHirschberg)
-                .durable_kind(8, 8, 8),
+            kind(pinned(Algorithm::ParallelHirschberg)),
             Some(KernelKind::Slabs)
         );
         // Checkpointed tile sweeps run the plane order.
         assert_eq!(
-            Aligner::new()
-                .algorithm(Algorithm::TileWavefront { tile: 4 })
-                .durable_kind(8, 8, 8),
+            kind(pinned(Algorithm::TileWavefront { tile: 4 })),
             Some(KernelKind::Planes)
         );
-        assert_eq!(
-            Aligner::new()
-                .algorithm(Algorithm::CenterStar)
-                .durable_kind(8, 8, 8),
-            None
-        );
-        assert_eq!(
-            Aligner::new()
-                .gap(GapModel::affine(-4, -1))
-                .durable_kind(8, 8, 8),
-            None
-        );
+        assert_eq!(kind(pinned(Algorithm::CenterStar)), None);
+        assert_eq!(kind(Aligner::new().gap(GapModel::affine(-4, -1))), None);
+    }
+
+    #[test]
+    fn every_score_plan_stores_the_snapshot_kind_it_names() {
+        use crate::checkpoint::{CheckpointConfig, MemorySink};
+        let token = CancelToken::never();
+        let (a, b, c) = family_triple(31, 12);
+        // A third sequence over twice the first's length: `Auto` sweeps
+        // planes.
+        let (lop_a, _, _) = family_triple(32, 3);
+        let linear = [
+            Algorithm::Auto,
+            Algorithm::FullDp,
+            Algorithm::Wavefront,
+            Algorithm::TileWavefront { tile: 4 },
+            Algorithm::Hirschberg,
+            Algorithm::ParallelHirschberg,
+            Algorithm::CarrilloLipman,
+            Algorithm::CenterStar,
+            Algorithm::Anchored,
+        ]
+        .map(|alg| Aligner::new().algorithm(alg));
+        let affine = [Algorithm::Auto, Algorithm::AffineDp]
+            .map(|alg| Aligner::new().gap(GapModel::affine(-4, -1)).algorithm(alg));
+        for al in linear.iter().chain(&affine) {
+            for a in [&a, &lop_a] {
+                let plan = al.plan(a.len(), b.len(), c.len(), true);
+                let sink = MemorySink::new();
+                let ckpt = CheckpointConfig::new(&sink).every_planes(1);
+                al.score3_durable(a, &b, &c, &token, &ckpt, None).unwrap();
+                let stored = sink.last().map(|snap| snap.kind);
+                assert_eq!(stored, plan.checkpoint.map(KernelKind::code), "{plan:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The result is a feasible alignment whose score lower-bounds the
 //! optimum; for similar sequences the inter-anchor gaps are tiny, so the
 //! cost collapses from one `O(n³)` lattice to a sum of small ones —
-//! trading the exactness guarantee (kept by `carrillo_lipman`/`banded3`)
+//! trading the exactness guarantee (kept by `carrillo_lipman`)
 //! for speed on long inputs.
 
 use crate::alignment::{Alignment3, Column3};

@@ -27,9 +27,31 @@ use tsa_seq::Seq;
 
 /// Below this `|A|` the recursion bottoms out into the full-lattice DP:
 /// the sub-lattice is at most `(BASE+1)·(n2+1)·(n3+1)` cells, i.e. already
-/// quadratic in the remaining problem. `tsa_perfmodel::memory::hirschberg`
-/// prices this lattice with the same constant.
+/// quadratic in the remaining problem. [`peak_bytes`] prices it.
 const BASE_CASE_LEN: usize = 4;
+
+/// Peak working set of [`align`], `parallel` for the variant that sweeps
+/// both faces of a split at once. The larger of two phases, in
+/// `(n2+1)(n3+1)` faces:
+///
+/// * **faces** — each face sweep holds two rolling slabs plus the face it
+///   copies out of them (3). The sequential solver keeps the forward face
+///   while it sweeps the backward one (1 + 3); the parallel one runs both
+///   sweeps at once (3 + 3). A split frees both faces before recursing,
+///   and the faces of the two halves together hold at most one cell more
+///   than their parent's, so the top level is the peak.
+/// * **base case** — the full lattice of an `|A| ≤ BASE_CASE_LEN`
+///   sub-problem, at most `min(n1, BASE_CASE_LEN) + 1` faces; a job with
+///   `n1 ≤ BASE_CASE_LEN` is only this.
+pub(crate) fn peak_bytes(n1: usize, n2: usize, n3: usize, parallel: bool) -> usize {
+    let face = (n2 + 1) * (n3 + 1) * std::mem::size_of::<i32>();
+    let base_case = (n1.min(BASE_CASE_LEN) + 1) * face;
+    if n1 <= BASE_CASE_LEN {
+        return base_case;
+    }
+    let faces = if parallel { 3 + 3 } else { 1 + 3 };
+    base_case.max(faces * face)
+}
 
 /// Optimal alignment by divide and conquer in quadratic space.
 ///
@@ -133,8 +155,8 @@ impl Solver<'_> {
         let w3 = c.len() + 1;
         let split = best_split(&f, &r);
         // The halves need neither face: free them before recursing, so no
-        // ancestor's faces stay live beneath (`tsa_perfmodel::memory::
-        // hirschberg` prices only the top level's).
+        // ancestor's faces stay live beneath ([`peak_bytes`] prices only
+        // the top level's).
         drop((f, r));
         let (sj, sk) = (split / w3, split % w3);
         let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
@@ -185,6 +207,18 @@ mod tests {
 
     fn s() -> Scoring {
         Scoring::dna_default()
+    }
+
+    #[test]
+    fn peak_bytes_prices_the_larger_phase() {
+        let face = |n2: usize, n3: usize| (n2 + 1) * (n3 + 1) * 4;
+        // A short first sequence is one base case.
+        assert_eq!(peak_bytes(2, 9, 9, false), 3 * face(9, 9));
+        assert_eq!(peak_bytes(4, 9, 9, true), 5 * face(9, 9));
+        // Past it, the base case (5 faces) outweighs the sequential face
+        // phase (4) but not the parallel one (6).
+        assert_eq!(peak_bytes(20, 600, 600, false), 5 * face(600, 600));
+        assert_eq!(peak_bytes(20, 600, 600, true), 6 * face(600, 600));
     }
 
     fn run_dc(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, parallel: bool) -> Alignment3 {

@@ -167,50 +167,97 @@ const SENTINEL: i32 = i32::MIN / 2;
 /// built once per score pass for the residues that actually occur (≤ the
 /// alphabet size), `O(|Σ|·n)` space and time — negligible against `n³`.
 pub(crate) struct Profiles {
-    /// `ab[r][j-1] = sub(r, b[j-1])` for residues `r` of `a`.
-    ab: Vec<Box<[i32]>>,
-    /// `ac[r][k-1] = sub(r, c[k-1])` for residues `r` of `a`.
-    ac: Vec<Box<[i32]>>,
-    /// `bc[r][k-1] = sub(r, c[k-1])` for residues `r` of `b`.
-    bc: Vec<Box<[i32]>>,
+    /// Every pair's rows, back to back in one allocation.
+    rows: Box<[i32]>,
+    /// `ab(r)[j-1] = sub(r, b[j-1])` for residues `r` of `a`.
+    ab: RowMap,
+    /// `ac(r)[k-1] = sub(r, c[k-1])` for residues `r` of `a`.
+    ac: RowMap,
+    /// `bc(r)[k-1] = sub(r, c[k-1])` for residues `r` of `b`.
+    bc: RowMap,
+}
+
+/// Where one pair's rows sit in [`Profiles::rows`]: a row per distinct
+/// residue of the pair's first sequence, in residue-byte order.
+struct RowMap {
+    /// `1 +` the row of each residue byte; `0` for residues that never
+    /// occur.
+    row_of: [u8; 256],
+    /// Offset of the pair's first row.
+    base: usize,
+    /// Row length: the length of the pair's second sequence.
+    len: usize,
+}
+
+impl RowMap {
+    fn new(from: &[u8], len: usize, base: usize) -> RowMap {
+        let mut row_of = [0u8; 256];
+        for &r in from {
+            row_of[r as usize] = 1;
+        }
+        let mut rows = 0u8;
+        for slot in row_of.iter_mut().filter(|slot| **slot != 0) {
+            // Residues come from an alphabet, far below 255 symbols.
+            rows = rows.checked_add(1).expect("≤ 255 distinct residues");
+            *slot = rows;
+        }
+        RowMap { row_of, base, len }
+    }
+
+    /// The residues with a row, in row order.
+    fn residues(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..=u8::MAX).filter(|&r| self.row_of[r as usize] != 0)
+    }
 }
 
 impl Profiles {
     pub(crate) fn new(scoring: &Scoring, ra: &[u8], rb: &[u8], rc: &[u8]) -> Profiles {
-        let row =
-            |r: u8, seq: &[u8]| -> Box<[i32]> { seq.iter().map(|&x| scoring.sub(r, x)).collect() };
-        let build = |from: &[u8], against: &[u8]| -> Vec<Box<[i32]>> {
-            let mut rows: Vec<Box<[i32]>> = (0..256).map(|_| Box::from([])).collect();
-            for &r in from {
-                if rows[r as usize].is_empty() {
-                    rows[r as usize] = row(r, against);
-                }
+        let pairs = [(ra, rb), (ra, rc), (rb, rc)];
+        let mut base = 0;
+        let maps = pairs.map(|(from, against)| {
+            let map = RowMap::new(from, against.len(), base);
+            base += map.residues().count() * against.len();
+            map
+        });
+        let mut rows = Vec::with_capacity(base);
+        for (map, (_, against)) in maps.iter().zip(pairs) {
+            for r in map.residues() {
+                rows.extend(against.iter().map(|&x| scoring.sub(r, x)));
             }
-            rows
-        };
+        }
+        let [ab, ac, bc] = maps;
         Profiles {
-            ab: build(ra, rb),
-            ac: build(ra, rc),
-            bc: build(rb, rc),
+            rows: rows.into_boxed_slice(),
+            ab,
+            ac,
+            bc,
+        }
+    }
+
+    #[inline(always)]
+    fn row<'a>(&'a self, map: &RowMap, r: u8) -> &'a [i32] {
+        match map.row_of[r as usize] {
+            0 => &[],
+            row => &self.rows[map.base + (row as usize - 1) * map.len..][..map.len],
         }
     }
 
     /// Profile of residue `r` (from `a`) against all of `b`.
     #[inline(always)]
     pub(crate) fn ab(&self, r: u8) -> &[i32] {
-        &self.ab[r as usize]
+        self.row(&self.ab, r)
     }
 
     /// Profile of residue `r` (from `a`) against all of `c`.
     #[inline(always)]
     pub(crate) fn ac(&self, r: u8) -> &[i32] {
-        &self.ac[r as usize]
+        self.row(&self.ac, r)
     }
 
     /// Profile of residue `r` (from `b`) against all of `c`.
     #[inline(always)]
     pub(crate) fn bc(&self, r: u8) -> &[i32] {
-        &self.bc[r as usize]
+        self.row(&self.bc, r)
     }
 }
 

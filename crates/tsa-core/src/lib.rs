@@ -12,14 +12,16 @@
 //! | [`hirschberg3`] | 3D divide & conquer over slab faces, one or two face sweeps at a time | score + alignment | `≤ 2·O(n³)` | `O(n²)` |
 //! | [`affine`] | quasi-natural affine-gap DP (Gotoh-style, 7 gap states) | score + alignment | `O(7²·n³)` | `O(7·n³)` |
 //! | [`carrillo_lipman`] | bound-pruned DP (skips cells no optimal path can cross) | score + alignment | `≪ O(n³)` for similar inputs | `O(n³)` |
-//! | [`banded3`] | banded DP with adaptive widening | score + alignment | `O(n·w²)` | `O(n³)` |
-//! | [`local`] | 3D Smith–Waterman (best common sub-segments) | score + local alignment | `O(n³)` | `O(n³)` |
+//! //! | [`local`] | 3D Smith–Waterman (best common sub-segments) | score + local alignment | `O(n³)` | `O(n³)` |
 //! | [`anchored`] | seed–chain–extend heuristic (exact DP between shared k-mer anchors) | near-optimal alignment | ≈ linear for similar inputs | gap-sized lattices |
 //! | [`center_star`] | heuristic baseline from pairwise alignments | approximate alignment | `O(n²)` | `O(n²)` |
 //! | [`bounds`] | pairwise-projection upper bound | bound | `O(n²)` | `O(n)` |
 //!
-//! The high-level entry point is [`Aligner`], a builder that picks the
-//! algorithm and validates inputs; the result type is [`Alignment3`].
+//! The high-level entry point is [`Aligner`], a builder whose
+//! [`Aligner::plan`] decides once what a job runs (the resolved algorithm
+//! and sweep order), how a score-only job checkpoints, and what the job
+//! costs in cell updates and peak bytes; every entry point dispatches on
+//! that plan. The result type is [`Alignment3`].
 //!
 //! ```
 //! use tsa_core::{Aligner, Algorithm};
@@ -36,7 +38,6 @@ pub mod affine;
 pub mod aligner;
 pub mod alignment;
 pub mod anchored;
-pub mod banded3;
 pub mod bounds;
 pub mod cancel;
 pub mod carrillo_lipman;
@@ -52,7 +53,7 @@ pub mod stats;
 pub mod sweep;
 pub mod wavefront;
 
-pub use aligner::{Algorithm, AlignError, Aligner};
+pub use aligner::{Algorithm, AlignError, Aligner, Plan};
 pub use alignment::{Alignment3, Column3, ValidationError};
 pub use cancel::{CancelProgress, CancelToken};
 pub use checkpoint::{

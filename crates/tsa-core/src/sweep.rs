@@ -177,7 +177,7 @@ impl<'a> Sweep<'a> {
 /// one face of each kind. Faces never checkpoint.
 ///
 /// Peak memory: the two rolling slabs plus the face copied out of them,
-/// three `(n2+1)(n3+1)` buffers (`tsa_perfmodel::memory::hirschberg`).
+/// three `(n2+1)(n3+1)` buffers (`hirschberg3::peak_bytes`).
 pub(crate) fn slab_face(
     a: &Seq,
     b: &Seq,

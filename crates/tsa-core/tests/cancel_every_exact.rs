@@ -24,7 +24,6 @@ fn exact_aligners() -> Vec<(Algorithm, Aligner)> {
         Algorithm::Hirschberg,
         Algorithm::ParallelHirschberg,
         Algorithm::CarrilloLipman,
-        Algorithm::BandedAdaptive,
     ]
     .map(|alg| (alg, Aligner::new().algorithm(alg)));
     let affine = Aligner::new()
@@ -54,8 +53,8 @@ fn run(
 
 #[test]
 fn every_exact_algorithm_stops_mid_fill_or_finishes_exactly() {
-    // Unrelated sequences: the pruned and banded algorithms get no
-    // shortcut, so every algorithm spends its time in polled fills.
+    // Unrelated sequences: the pruned algorithm gets no shortcut, so
+    // every algorithm spends its time in polled fills.
     let seqs = [32, 30, 34].map(|len| random_seq_seeded(Alphabet::Dna, len, len as u64));
     for (alg, aligner) in exact_aligners() {
         let mut mid_fill = 0;

@@ -1,10 +1,10 @@
 //! Crate-level property tests for the newer aligner variants — the ones
-//! the workspace-level suites predate: Carrillo–Lipman, adaptive banding,
-//! local alignment, and the anchored heuristic.
+//! the workspace-level suites predate: Carrillo–Lipman, local alignment,
+//! and the anchored heuristic.
 
 use proptest::prelude::*;
 use tsa_core::anchored::{self, AnchorConfig};
-use tsa_core::{banded3, carrillo_lipman, center_star, full, local, CancelToken};
+use tsa_core::{carrillo_lipman, center_star, full, local};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
@@ -29,26 +29,6 @@ proptest! {
         let (score, stats) = carrillo_lipman::align_score_with_stats(&a, &b, &c, &s);
         prop_assert_eq!(score, full::align_score(&a, &b, &c, &s));
         prop_assert!(stats.visited <= stats.total);
-    }
-
-    #[test]
-    fn banded_adaptive_always_recovers_the_optimum(a in dna(10), b in dna(10), c in dna(10)) {
-        let s = scoring();
-        let aln = banded3::align_adaptive(&a, &b, &c, &s, &CancelToken::never()).unwrap();
-        prop_assert_eq!(aln.score, full::align_score(&a, &b, &c, &s));
-        prop_assert!(aln.validate_scored(&a, &b, &c, &s).is_ok());
-    }
-
-    #[test]
-    fn fixed_band_is_feasible_and_dominated(
-        a in dna(10), b in dna(10), c in dna(10), extra in 0usize..6,
-    ) {
-        let s = scoring();
-        let w = banded3::min_band(a.len(), b.len(), c.len()) + extra;
-        if let Some(aln) = banded3::align(&a, &b, &c, &s, w) {
-            prop_assert!(aln.validate(&a, &b, &c).is_ok());
-            prop_assert!(aln.score <= full::align_score(&a, &b, &c, &s));
-        }
     }
 
     #[test]

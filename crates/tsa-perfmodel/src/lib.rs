@@ -15,16 +15,16 @@
 //! * [`measured`] — fit a cost model to a measured
 //!   [`tsa_wavefront::PlaneProfile`] and report the prediction-vs-reality
 //!   delta (experiment `fig7`, `tsa align --profile-planes`);
-//! * [`memory`] — analytic memory footprints of every algorithm variant
-//!   (experiment `table3`);
 //! * [`cluster`] — an α–β message-cost model of the paper's
 //!   distributed-memory setting (experiment `fig5`);
 //! * [`pipeline`] — the 1-D pipelined-strip decomposition, the other
 //!   classic distributed wavefront schedule.
+//!
+//! A job's memory footprint is not modelled here: `tsa_core::Aligner::plan`
+//! prices the buffers of the dispatch it chooses, next to that dispatch.
 
 pub mod cluster;
 pub mod measured;
-pub mod memory;
 pub mod model;
 pub mod pipeline;
 pub mod planes;

@@ -246,7 +246,7 @@ fn parse_algorithm(name: &str) -> Option<Algorithm> {
 /// Algorithm names older journals may carry that no longer parse. Their
 /// records are dropped at replay — neither preloaded nor re-run — and are
 /// not corruption, so they never count as quarantined.
-const RETIRED_ALGORITHMS: [&str; 2] = ["blocked", "dataflow"];
+const RETIRED_ALGORITHMS: [&str; 3] = ["blocked", "dataflow", "banded"];
 
 fn names_retired_algorithm(v: &Value) -> bool {
     v.get("algorithm")
@@ -880,8 +880,13 @@ mod tests {
             done("old-blocked", "blocked"),
             job("old-dataflow", "dataflow"),
             done("old-dataflow", "dataflow"),
+            // `banded` was retired for returning sub-optimal scores: its
+            // journaled answers must never be served again.
+            job("old-banded", "banded"),
+            done("old-banded", "banded"),
             // An unresolved retired job is dropped too.
             job("pending-blocked", "blocked"),
+            job("pending-banded", "banded"),
             // A live job of a current algorithm still replays.
             job("live", "wavefront"),
         ]

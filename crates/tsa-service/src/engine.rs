@@ -5,8 +5,7 @@ use crate::durability::{self, Durability, Replay};
 use crate::error::{JobOutcome, SubmitError};
 use crate::faults;
 use crate::governor::{self, MemoryGate, Reservation};
-use crate::queue::PushError;
-use crate::sched::{fair_queue, FairQueue, FairReceiver};
+use crate::sched::{fair_queue, FairQueue, FairReceiver, PushError};
 use crate::stats::{LaneSnapshot, ServiceStats, StatsSnapshot};
 use crate::worker::{worker_loop, CompletedJob, DurableJob, Job, JobTrace, Responder};
 use crossbeam::channel::{self, Receiver};
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tsa_core::{
-    job_fingerprint, Algorithm, Aligner, CancelToken, CheckpointPolicy, FrontierSnapshot,
+    job_fingerprint, Algorithm, Aligner, CancelToken, CheckpointPolicy, FrontierSnapshot, Plan,
 };
 use tsa_obs::{FlightRecorder, TraceContext, Tracer};
 use tsa_scoring::Scoring;
@@ -225,6 +224,18 @@ pub struct AlignRequest {
 }
 
 impl AlignRequest {
+    /// The aligner this request runs under: its scoring and algorithm.
+    pub(crate) fn aligner(&self) -> Aligner {
+        Aligner::auto(self.scoring.clone()).algorithm(self.algorithm)
+    }
+
+    /// What this request runs: the [`Aligner::plan`] of its lengths.
+    pub(crate) fn plan(&self) -> Plan {
+        let [a, b, c] = &self.seqs;
+        self.aligner()
+            .plan(a.len(), b.len(), c.len(), self.score_only)
+    }
+
     /// A request with DNA-default scoring, automatic algorithm selection,
     /// full traceback, and no deadline.
     pub fn new(tag: impl Into<String>, a: Seq, b: Seq, c: Seq) -> Self {
@@ -445,10 +456,7 @@ impl Engine {
         let mut recovered = 0u64;
         for done in replay.completed {
             let req = &done.req;
-            let (n1, n2, n3) = (req.seqs[0].len(), req.seqs[1].len(), req.seqs[2].len());
-            let resolved = Aligner::auto(req.scoring.clone())
-                .algorithm(req.algorithm)
-                .resolve_job(n1, n2, n3, req.score_only);
+            let resolved = req.plan().algorithm;
             let key = CacheKey::new(
                 &req.seqs[0],
                 &req.seqs[1],
@@ -481,30 +489,22 @@ impl Engine {
         let (mut resumed, mut restarted) = (0u64, 0u64);
         for job in replay.inflight {
             let req = job.req;
-            // The snapshot is usable only if it decodes (checksummed), was
-            // produced by the kernel kind this request resolves to, and
-            // fingerprints the same sequences and scoring.
-            let resume = if req.score_only {
+            // The snapshot is usable only if the job's plan checkpoints,
+            // it decodes (checksummed), was produced by the kernel kind the
+            // plan names, and fingerprints the same sequences and scoring.
+            let resume = req.plan().checkpoint.and_then(|kind| {
                 d.load_snapshot(&job.uid).filter(|snap| {
-                    let (n1, n2, n3) = (req.seqs[0].len(), req.seqs[1].len(), req.seqs[2].len());
-                    Aligner::auto(req.scoring.clone())
-                        .algorithm(req.algorithm)
-                        .durable_kind(n1, n2, n3)
-                        .is_some_and(|kind| {
-                            snap.kind == kind.code()
-                                && snap.fingerprint
-                                    == job_fingerprint(
-                                        &req.seqs[0],
-                                        &req.seqs[1],
-                                        &req.seqs[2],
-                                        &req.scoring,
-                                        kind,
-                                    )
-                        })
+                    snap.kind == kind.code()
+                        && snap.fingerprint
+                            == job_fingerprint(
+                                &req.seqs[0],
+                                &req.seqs[1],
+                                &req.seqs[2],
+                                &req.scoring,
+                                kind,
+                            )
                 })
-            } else {
-                None
-            };
+            });
             if resume.is_some() {
                 resumed += 1;
             } else {
@@ -565,10 +565,11 @@ impl Engine {
         }
     }
 
-    /// Admission-time resource governor: estimate the job's footprint for
-    /// its *resolved* algorithm, enforce the configured limits (walking an
-    /// `Auto` request down the degradation ladder instead of rejecting),
-    /// and take the job's share of the global memory budget.
+    /// Admission-time resource governor: read the job's [`tsa_core::Plan`]
+    /// (the footprint of its *resolved* algorithm), enforce the
+    /// configured limits (walking an `Auto` request down the degradation
+    /// ladder instead of rejecting), and take the job's share of the
+    /// global memory budget.
     fn govern(
         &self,
         req: &mut AlignRequest,
@@ -577,48 +578,44 @@ impl Engine {
         if self.config.max_cells.is_none() && self.config.memory_budget.is_none() {
             return Ok((None, None));
         }
-        let (n1, n2, n3) = (req.seqs[0].len(), req.seqs[1].len(), req.seqs[2].len());
-        let resolved = Aligner::auto(req.scoring.clone())
-            .algorithm(req.algorithm)
-            .resolve_job(n1, n2, n3, req.score_only);
-        let inflate = faults::inflate_factor(&req.tag);
-        let estimate_of = |alg| {
-            let mut est = governor::estimate(alg, req.score_only, n1, n2, n3);
-            est.peak_bytes = est.peak_bytes.saturating_mul(inflate);
-            est
+        let n = [req.seqs[0].len(), req.seqs[1].len(), req.seqs[2].len()];
+        let rungs = governor::ladder(req.aligner(), n, req.score_only);
+        // Pinned algorithms have one rung: the resolved plan.
+        let rungs = match req.algorithm {
+            Algorithm::Auto => &rungs[..],
+            _ => &rungs[..1],
         };
-        let (chosen, est) = if req.algorithm == Algorithm::Auto {
-            let mut admitted = None;
-            let mut last_refusal = None;
-            for candidate in governor::ladder(resolved) {
-                let est = estimate_of(candidate);
-                match governor::check(est, self.config.max_cells, self.config.memory_budget) {
-                    Ok(()) => {
-                        admitted = Some((candidate, est));
-                        break;
-                    }
-                    Err(e) => last_refusal = Some(e),
+        let resolved = rungs[0].algorithm;
+        let inflate = faults::inflate_factor(&req.tag);
+        let mut admitted = None;
+        let mut last_refusal = None;
+        for plan in rungs {
+            let peak_bytes = plan.peak_bytes.saturating_mul(inflate);
+            match governor::check(
+                plan.cells,
+                peak_bytes,
+                self.config.max_cells,
+                self.config.memory_budget,
+            ) {
+                Ok(()) => {
+                    admitted = Some((plan.algorithm, peak_bytes));
+                    break;
                 }
+                Err(e) => last_refusal = Some(e),
             }
-            match admitted {
-                Some(pick) => pick,
-                None => return Err(self.refuse(last_refusal.expect("ladder is non-empty"))),
-            }
-        } else {
-            let est = estimate_of(resolved);
-            governor::check(est, self.config.max_cells, self.config.memory_budget)
-                .map_err(|e| self.refuse(e))?;
-            (resolved, est)
+        }
+        let Some((chosen, peak_bytes)) = admitted else {
+            return Err(self.refuse(last_refusal.expect("ladder is non-empty")));
         };
         let reservation = match &self.gate {
-            Some(gate) if blocking => Some(gate.reserve_blocking(est.peak_bytes)),
-            Some(gate) => match gate.try_reserve(est.peak_bytes) {
+            Some(gate) if blocking => Some(gate.reserve_blocking(peak_bytes)),
+            Some(gate) => match gate.try_reserve(peak_bytes) {
                 Some(r) => Some(r),
                 // Fits the budget alone, but not alongside the current
                 // in-flight jobs — non-blocking submitters get an error.
                 None => {
                     return Err(self.refuse(SubmitError::ResourceExhausted {
-                        required: est.peak_bytes,
+                        required: peak_bytes,
                         budget: self.config.memory_budget.unwrap_or(0),
                         limit: "memory-budget",
                     }))

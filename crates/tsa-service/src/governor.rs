@@ -1,117 +1,65 @@
 //! Admission-time resource governor.
 //!
-//! Before a job enters the queue the engine estimates, from the sequence
-//! lengths and the *resolved* algorithm, how many DP cell updates it will
-//! perform and how many bytes its kernel will peak at (via
-//! [`tsa_perfmodel::memory`]). Two limits apply:
+//! Before a job enters the queue the engine reads its
+//! [`Plan`](tsa_core::Plan) — the resolved algorithm and the DP cell
+//! updates and peak bytes of the dispatch that will run — from
+//! [`tsa_core::Aligner::plan`]. Two limits apply:
 //!
-//! * `max_cells` — a per-job cap on estimated cell updates (a time bound
+//! * `max_cells` — a per-job cap on planned cell updates (a time bound
 //!   in disguise: cells/second is roughly constant per machine).
-//! * `memory_budget` — both a per-job cap on estimated peak bytes and a
-//!   global budget on the *sum* of in-flight estimates, enforced by
+//! * `memory_budget` — both a per-job cap on planned peak bytes and a
+//!   global budget on the *sum* of in-flight plans, enforced by
 //!   [`MemoryGate`] as a semaphore-style reservation released when the
 //!   job resolves.
 //!
 //! A pinned over-budget algorithm is rejected with
 //! [`SubmitError::ResourceExhausted`]. An [`Algorithm::Auto`] request is
-//! instead walked down a degradation ladder (resolved choice →
-//! `Hirschberg`, both exact) and admitted with the first variant that
+//! instead walked down a degradation ladder (the resolved plan →
+//! `Hirschberg`'s, both exact) and admitted with the first plan that
 //! fits, recording the downgrade in the response.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 
-use tsa_core::Algorithm;
-use tsa_perfmodel::memory;
+use tsa_core::{Algorithm, Aligner, Plan};
 
 use crate::error::SubmitError;
 
-/// Estimated footprint of one job, in DP cell updates and peak bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceEstimate {
-    /// Estimated DP cell updates the kernel performs.
-    pub cells: u64,
-    /// Estimated peak working-set bytes of the kernel.
-    pub peak_bytes: u64,
+/// The plans tried, in order, for an `Auto` request over budget: the
+/// resolved one, then sequential `Hirschberg`'s (SIMD slab faces), the
+/// fastest exact schedule in quadratic space. Both rungs are exact; the
+/// second trades time (≤2× the cell updates) for space (cubic →
+/// quadratic). A score-only job already plans the rolling sweep with the
+/// smaller buffers, so no rung shrinks it.
+pub(crate) fn ladder(aligner: Aligner, n: [usize; 3], score_only: bool) -> [Plan; 2] {
+    let [n1, n2, n3] = n;
+    let resolved = aligner.plan(n1, n2, n3, score_only);
+    let dc = aligner.algorithm(Algorithm::Hirschberg);
+    [resolved, dc.plan(n1, n2, n3, score_only)]
 }
 
-/// Estimate the footprint of `algorithm` (already resolved — not `Auto`)
-/// on sequences of lengths `n1 × n2 × n3`. Mirrors the dispatch in the
-/// worker: score-only jobs use the rolling score passes where available.
-pub fn estimate(
-    algorithm: Algorithm,
-    score_only: bool,
-    n1: usize,
-    n2: usize,
-    n3: usize,
-) -> ResourceEstimate {
-    let cube = ((n1 + 1) as u64) * ((n2 + 1) as u64) * ((n3 + 1) as u64);
-    let (cells, peak_bytes) = match algorithm {
-        // Score-only jobs dispatch to the O(n²) rolling passes for the
-        // algorithms that have them (see `Aligner::score3`).
-        Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg if score_only => {
-            (cube, memory::slab_score(n2, n3))
-        }
-        Algorithm::Wavefront if score_only => (cube, memory::plane_score(n1, n2)),
-        // Full-lattice traceback algorithms materialize the whole cube —
-        // as does the tile-wavefront score grid.
-        Algorithm::FullDp
-        | Algorithm::Wavefront
-        | Algorithm::TileWavefront { .. }
-        | Algorithm::CarrilloLipman
-        | Algorithm::BandedAdaptive => (cube, memory::full_lattice(n1, n2, n3)),
-        // Divide and conquer: ≤2× the cell updates, quadratic space.
-        Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
-            let parallel = algorithm == Algorithm::ParallelHirschberg;
-            (2 * cube, memory::hirschberg(n1, n2, n3, parallel))
-        }
-        // 7 gap states per lattice cell.
-        Algorithm::AffineDp => (7 * cube, memory::affine_lattice(n1, n2, n3)),
-        // Pairwise-driven heuristics: quadratic in both time and space.
-        Algorithm::CenterStar | Algorithm::Anchored => {
-            let pairwise = ((n1 + 1) * (n2 + 1) + (n1 + 1) * (n3 + 1) + (n2 + 1) * (n3 + 1)) as u64;
-            (pairwise, memory::center_star(n1, n2, n3))
-        }
-        // `Auto` never reaches the estimator; resolve first.
-        Algorithm::Auto => (cube, memory::full_lattice(n1, n2, n3)),
-    };
-    ResourceEstimate {
-        cells,
-        peak_bytes: peak_bytes as u64,
-    }
-}
-
-/// The degradation ladder tried, in order, for an `Auto` request whose
-/// resolved algorithm is over budget: the resolved choice, then
-/// sequential `Hirschberg` (SIMD slab faces), the fastest exact schedule
-/// in quadratic space. Both rungs are exact; the second trades time
-/// (≤2× the cell updates) for space (cubic → quadratic). A score-only
-/// job already resolves to the rolling sweep with the smaller buffers
-/// (see [`tsa_core::Aligner::resolve_job`]), so no rung shrinks it.
-pub(crate) fn ladder(resolved: Algorithm) -> [Algorithm; 2] {
-    [resolved, Algorithm::Hirschberg]
-}
-
-/// Check one candidate against the per-job limits.
+/// Check one candidate's planned cell updates and peak bytes against the
+/// per-job limits.
 pub(crate) fn check(
-    est: ResourceEstimate,
+    cells: u64,
+    peak_bytes: u64,
     max_cells: Option<u64>,
     memory_budget: Option<u64>,
 ) -> Result<(), SubmitError> {
     if let Some(cap) = max_cells {
-        if est.cells > cap {
+        if cells > cap {
             return Err(SubmitError::ResourceExhausted {
-                required: est.cells,
+                required: cells,
                 budget: cap,
                 limit: "max-cells",
             });
         }
     }
     if let Some(budget) = memory_budget {
-        if est.peak_bytes > budget {
+        if peak_bytes > budget {
             return Err(SubmitError::ResourceExhausted {
-                required: est.peak_bytes,
+                required: peak_bytes,
                 budget,
                 limit: "memory-budget",
             });
@@ -206,40 +154,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn score_only_estimates_are_quadratic() {
-        let n = 200;
-        let full = estimate(Algorithm::Wavefront, false, n, n, n);
-        let score = estimate(Algorithm::Wavefront, false, n, n, n);
-        assert_eq!(full.peak_bytes, score.peak_bytes);
-        let score = estimate(Algorithm::Wavefront, true, n, n, n);
-        assert!(score.peak_bytes < full.peak_bytes / 10);
-        assert_eq!(score.cells, full.cells);
-    }
-
-    #[test]
-    fn hirschberg_trades_cells_for_bytes() {
-        let n = 100;
-        let full = estimate(Algorithm::FullDp, false, n, n, n);
-        let dc = estimate(Algorithm::ParallelHirschberg, false, n, n, n);
-        assert_eq!(dc.cells, 2 * full.cells);
-        assert!(dc.peak_bytes < full.peak_bytes / 10);
-    }
-
-    #[test]
     fn check_trips_the_right_limit() {
-        let est = ResourceEstimate {
-            cells: 1000,
-            peak_bytes: 4000,
-        };
-        assert!(check(est, None, None).is_ok());
-        assert!(check(est, Some(1000), Some(4000)).is_ok());
-        match check(est, Some(999), None) {
+        assert!(check(1000, 4000, None, None).is_ok());
+        assert!(check(1000, 4000, Some(1000), Some(4000)).is_ok());
+        match check(1000, 4000, Some(999), None) {
             Err(SubmitError::ResourceExhausted { limit, .. }) => {
                 assert_eq!(limit, "max-cells")
             }
             other => panic!("unexpected: {other:?}"),
         }
-        match check(est, None, Some(3999)) {
+        match check(1000, 4000, None, Some(3999)) {
             Err(SubmitError::ResourceExhausted {
                 required, budget, ..
             }) => {
@@ -279,25 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_score_jobs_estimate_the_smaller_rolling_sweep() {
-        let auto = tsa_core::Aligner::new();
-        for (n1, n2, n3) in [
-            (100, 100, 100),
-            (9, 5, 19),
-            (9, 5, 20),
-            (1, 20_000, 20_000),
-            (100, 2_000, 10_000),
-        ] {
-            let est = estimate(auto.resolve_job(n1, n2, n3, true), true, n1, n2, n3);
-            let smaller = memory::slab_score(n2, n3).min(memory::plane_score(n1, n2));
-            assert_eq!(est.peak_bytes, smaller as u64, "{n1}×{n2}×{n3}");
-        }
-    }
-
-    #[test]
     fn ladder_starts_at_resolved_and_ends_quadratic() {
-        let l = ladder(Algorithm::Wavefront);
-        assert_eq!(l[0], Algorithm::Wavefront);
-        assert_eq!(l[l.len() - 1], Algorithm::Hirschberg);
+        let [resolved, dc] = ladder(Aligner::new(), [100, 100, 100], false);
+        assert_eq!(resolved, Aligner::new().plan(100, 100, 100, false));
+        assert_eq!(resolved.algorithm, Algorithm::FullDp);
+        assert_eq!(dc.algorithm, Algorithm::Hirschberg);
+        assert_eq!(dc.cells, 2 * resolved.cells);
+        assert!(dc.peak_bytes < resolved.peak_bytes / 10);
+        // A score job's rungs both sweep two rolling slabs.
+        let [resolved, dc] = ladder(Aligner::new(), [100, 100, 100], true);
+        assert_eq!(resolved.peak_bytes, dc.peak_bytes);
     }
 }

@@ -70,7 +70,6 @@ pub mod faults;
 mod governor;
 pub mod json;
 pub mod protocol;
-mod queue;
 mod sched;
 mod server;
 mod stats;
@@ -80,9 +79,7 @@ pub use cache::{result_checksum, CacheKey, CachedResult, ResultCache};
 pub use durability::content_uid;
 pub use engine::{AlignRequest, Engine, JobHandle, ServiceConfig};
 pub use error::{CancelStage, JobOutcome, JobResult, SubmitError};
-pub use governor::ResourceEstimate;
-pub use queue::{job_queue, JobQueue, JobReceiver, PushError};
-pub use sched::{fair_queue, FairQueue, FairReceiver};
+pub use sched::{fair_queue, FairQueue, FairReceiver, PushError};
 pub use server::{
     run_all, run_batch, serve_listener, serve_session, serve_stdio, BatchSummary, FlaggedJob,
     ServeOptions,

@@ -252,7 +252,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             let algorithm = match obj.get("algorithm").and_then(Value::as_str) {
                 None => Algorithm::Auto,
                 Some(name) => Algorithm::by_name(name, tile).ok_or_else(|| {
-                    ProtocolError::new(id_ref, format!("unknown algorithm '{name}'"))
+                    let message = format!("unknown algorithm '{name}'");
+                    ProtocolError::invalid_argument(id_ref, message, None)
                 })?,
             };
             let score_only = match obj.get("score_only") {

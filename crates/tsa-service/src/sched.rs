@@ -31,7 +31,14 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::queue::PushError;
+/// Why a push was refused.
+#[derive(Debug)]
+pub enum PushError<T> {
+    /// The queue is at capacity; the rejected item is handed back.
+    Full(T),
+    /// All receivers are gone (engine shut down); item handed back.
+    Closed(T),
+}
 
 /// One per-client lane: its buffered items plus DRR service state.
 #[derive(Debug)]

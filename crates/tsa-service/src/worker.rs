@@ -346,13 +346,13 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
 
     let served = Instant::now();
     let aligner = Aligner::auto(job.scoring.clone()).algorithm(job.algorithm);
-    let resolved = aligner.resolve_job(job.a.len(), job.b.len(), job.c.len(), job.score_only);
+    let plan = aligner.plan(job.a.len(), job.b.len(), job.c.len(), job.score_only);
     let key = CacheKey::new(
         &job.a,
         &job.b,
         &job.c,
         &job.scoring,
-        resolved,
+        plan.algorithm,
         job.score_only,
     );
 
@@ -405,15 +405,13 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     // instead of killing this worker.
     let tag = job.tag.clone();
     let cancel = job.cancel.clone();
-    // Durable score-only jobs with a checkpointable kernel stream
-    // frontier snapshots to their sink and poll the drain flag; all
-    // other shapes run the plain cancellable path.
+    // Durable jobs whose plan checkpoints (score-only, a rolling sweep)
+    // stream frontier snapshots to their sink and poll the drain flag;
+    // all other shapes run the plain cancellable path.
     let durable_run = job.durable.as_ref().and_then(|d| {
-        (job.score_only
-            && aligner
-                .durable_kind(job.a.len(), job.b.len(), job.c.len())
-                .is_some())
-        .then(|| (d.handle.sink_for(&d.uid), Arc::clone(&d.handle)))
+        plan.checkpoint
+            .is_some()
+            .then(|| (d.handle.sink_for(&d.uid), Arc::clone(&d.handle)))
     });
     let resume = job.durable.as_mut().and_then(|d| d.resume.take());
     let kernel = || -> Result<(i32, Option<Alignment3>), KernelErr> {
@@ -456,23 +454,20 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
         }
     };
     // The row kernel this job actually runs: served jobs always run
-    // `Auto`, resolved against this CPU. Only a sweep — a score-only
-    // job's slab, plane or tile order, a `full` or `tile-wavefront`
-    // alignment's lattice, or a Hirschberg alignment's face sweeps — has
-    // SIMD rows; every other path runs scalar cells.
-    let swept = aligner
-        .sweep_order(job.a.len(), job.b.len(), job.c.len(), job.score_only)
-        .is_some();
-    let simd = match swept {
-        true => SimdKernel::Auto.resolve(),
-        false => SimdKernel::Scalar.resolve(),
+    // `Auto`, resolved against this CPU. Only a plan with a sweep order —
+    // a score-only job's slab, plane or tile order, a `full` or
+    // `tile-wavefront` alignment's lattice, or a Hirschberg alignment's
+    // face sweeps — has SIMD rows; every other path runs scalar cells.
+    let simd = match plan.order {
+        Some(_) => SimdKernel::Auto.resolve(),
+        None => SimdKernel::Scalar.resolve(),
     };
     if !simd.is_scalar() {
         stats.simd.inc();
     }
     let mut kernel_span = job.stage("kernel");
     if let Some(s) = kernel_span.as_mut() {
-        s.annotate("algorithm", resolved.name());
+        s.annotate("algorithm", plan.algorithm.name());
         s.annotate("simd_kernel", simd.name());
     }
     let kernel_started = Instant::now();
@@ -551,9 +546,9 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
         CachedResult {
             score,
             rows: rows.clone(),
-            algorithm: resolved,
+            algorithm: plan.algorithm,
             recovered: false,
-            checksum: result_checksum(score, rows.as_ref(), resolved),
+            checksum: result_checksum(score, rows.as_ref(), plan.algorithm),
         },
     );
     drop(traceback_span);
@@ -576,11 +571,11 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
 
     stats.completed.inc();
     stats.record_latency(job.submitted.elapsed());
-    job.annotate("resolved", resolved.name());
+    job.annotate("resolved", plan.algorithm.name());
     JobOutcome::Done(JobResult {
         score,
         rows,
-        algorithm: resolved,
+        algorithm: plan.algorithm,
         degraded_from: job.degraded_from,
         cached: false,
         recovered: false,

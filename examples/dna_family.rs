@@ -45,7 +45,6 @@ fn main() {
         ("hirschberg (O(n²) mem)", Algorithm::Hirschberg),
         ("parallel hirschberg", Algorithm::ParallelHirschberg),
         ("carrillo-lipman pruned", Algorithm::CarrilloLipman),
-        ("banded (adaptive)", Algorithm::BandedAdaptive),
     ];
 
     let mut reference = None;

@@ -1,13 +1,16 @@
 //! Explore the parallel structure of the 3D wavefront analytically:
-//! plane-size profiles, critical path, speedup bounds, and the effect of
-//! tiling — without running a single alignment. This is the model the
+//! plane-size profiles, critical path, speedup bounds, the effect of
+//! tiling, and the plans (cell updates, peak bytes) of the main
+//! algorithms — without running a single alignment. This is the model the
 //! measured curves in the benchmark harness are compared against.
 //!
 //! ```text
 //! cargo run --release --example scaling_model [length]
 //! ```
 
-use three_seq_align::perfmodel::{memory, model, planes, CostModel};
+use three_seq_align::core::{Algorithm, Aligner};
+use three_seq_align::perfmodel::{model, planes, CostModel};
+use three_seq_align::scoring::GapModel;
 
 fn main() {
     let n: usize = std::env::args()
@@ -66,21 +69,33 @@ fn main() {
         );
     }
 
-    println!("\nmemory at n = {n}:");
-    println!(
-        "  full lattice:        {:>10.1} MiB",
-        memory::full_lattice(n, n, n) as f64 / 1048576.0
-    );
-    println!(
-        "  affine (7 states):   {:>10.1} MiB",
-        memory::affine_lattice(n, n, n) as f64 / 1048576.0
-    );
-    println!(
-        "  score-only slabs:    {:>10.3} MiB",
-        memory::slab_score(n, n) as f64 / 1048576.0
-    );
-    println!(
-        "  hirschberg peak:     {:>10.3} MiB",
-        memory::hirschberg(n, n, n, false) as f64 / 1048576.0
-    );
+    println!("\nplanned peak memory at n = {n}:");
+    let affine = Aligner::new().gap(GapModel::affine(-4, -1));
+    let rows = [
+        (
+            "full lattice",
+            Aligner::new().algorithm(Algorithm::FullDp),
+            false,
+        ),
+        ("affine (7 states)", affine, false),
+        (
+            "score-only slabs",
+            Aligner::new().algorithm(Algorithm::FullDp),
+            true,
+        ),
+        (
+            "hirschberg peak",
+            Aligner::new().algorithm(Algorithm::Hirschberg),
+            false,
+        ),
+    ];
+    for (name, aligner, score_only) in rows {
+        let plan = aligner.plan(n, n, n, score_only);
+        println!(
+            "  {:<20} {:>10.3} MiB  ({} cell updates)",
+            format!("{name}:"),
+            plan.peak_bytes as f64 / 1048576.0,
+            plan.cells
+        );
+    }
 }

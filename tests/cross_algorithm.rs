@@ -13,6 +13,7 @@ fn exact_algorithms() -> Vec<Algorithm> {
         Algorithm::TileWavefront { tile: 16 },
         Algorithm::Hirschberg,
         Algorithm::ParallelHirschberg,
+        Algorithm::CarrilloLipman,
     ]
 }
 
@@ -28,6 +29,14 @@ fn workloads() -> Vec<(Seq, Seq, Seq)> {
         let [a, b, c] = fam.members;
         out.push((a, b, c));
     }
+    // Rotations of one 38-residue block: similar enough that two band
+    // widths can score alike short of the optimum (an adaptive band that
+    // stopped there returned 108 for 135).
+    out.push((
+        Seq::dna("ACGAGTCGGTTAAGATTTTCATATTATGCAGAAAATCTACTTCGCCTGAT").unwrap(),
+        Seq::dna("AGATTTTCATATTATGCAGAAAATCTACTTCGCCTGATACGAGTCGGTTA").unwrap(),
+        Seq::dna("AGATTTTCATATTATGCAGAAAATCTACTTCGCCTGATTCTTCGGATACT").unwrap(),
+    ));
     // A deliberately lopsided triple.
     out.push((
         Seq::dna("ACGTACGTACGTACGTACGTACGT").unwrap(),

@@ -1,11 +1,11 @@
-//! The memory governor's estimates against what the kernels really hold.
+//! Every plan's peak bytes against what its kernel really holds.
 //!
-//! `tsa-service`'s governor admits a job by the `tsa_perfmodel::memory`
-//! figure of the kernel it will run. A counting global allocator tracks
-//! the peak of live heap bytes while each kernel runs, and that peak must
-//! lie between half the estimate and the estimate plus an `O(n)`
+//! `tsa-service`'s governor admits a job by the `peak_bytes` of its
+//! `Aligner::plan`. A counting global allocator tracks the peak of live
+//! heap bytes while each planned kernel runs, and that peak must lie
+//! between half the plan's figure and the figure plus an `O(n)`
 //! allowance: sequences, substitution profiles, traceback columns and
-//! thread bookkeeping, none of which the formulas price.
+//! thread bookkeeping, none of which the plans price.
 //!
 //! The allocator counts every thread of the process, so this file holds a
 //! single `#[test]`: nothing else runs while a peak is measured.
@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use three_seq_align::core::{Algorithm, Aligner};
-use three_seq_align::perfmodel::memory;
+use three_seq_align::scoring::GapModel;
 use three_seq_align::seq::gen::random_seq_seeded;
 use three_seq_align::seq::{Alphabet, Seq};
 
@@ -85,11 +85,11 @@ fn peak_of<R>(run: impl FnOnce() -> R) -> usize {
 
 /// The unpriced `O(n)` terms: 64 bytes per residue, for the sequence
 /// slices and reversals of each recursion level, the substitution
-/// profiles (three 256-entry row tables, then one row per distinct
-/// residue), the traceback columns and the plane loop's row lists, plus
-/// 64 KiB for the row tables and the scoped threads' bookkeeping.
+/// profiles (one row per distinct residue), the traceback columns and the
+/// plane loop's row lists, plus 40 KiB for the scoped threads'
+/// bookkeeping.
 fn allowance(n: [usize; 3]) -> usize {
-    64 * (n[0] + n[1] + n[2]) + (64 << 10)
+    64 * (n[0] + n[1] + n[2]) + (40 << 10)
 }
 
 #[test]
@@ -98,59 +98,54 @@ fn measured_peaks_lie_within_the_governor_estimates() {
         .num_threads(2)
         .build()
         .unwrap();
+    // Every exact algorithm the service runs, under the linear gap of the
+    // default scoring; the affine DP under an affine gap.
+    let linear = [
+        Algorithm::Auto,
+        Algorithm::FullDp,
+        Algorithm::Wavefront,
+        Algorithm::TileWavefront { tile: 16 },
+        Algorithm::Hirschberg,
+        Algorithm::ParallelHirschberg,
+        Algorithm::CarrilloLipman,
+    ]
+    .map(|algorithm| Aligner::new().algorithm(algorithm));
+    let affine = Aligner::new()
+        .gap(GapModel::affine(-4, -1))
+        .algorithm(Algorithm::AffineDp);
+    let aligners: Vec<&Aligner> = linear.iter().chain([&affine]).collect();
+    let mut outside = Vec::new();
     for (n, seed) in [([20, 600, 600], 1), ([64, 64, 64], 2), ([9, 120, 30], 3)] {
         let [a, b, c]: [Seq; 3] =
             std::array::from_fn(|m| random_seq_seeded(Alphabet::Dna, n[m], seed * 10 + m as u64));
         let [n1, n2, n3] = n;
-        // Aligners are built, and their scoring presets interned, before
-        // any peak is taken.
-        let pinned = |algorithm| Aligner::new().algorithm(algorithm);
-        let (full, wavefront) = (pinned(Algorithm::FullDp), pinned(Algorithm::Wavefront));
-        let tiles = pinned(Algorithm::TileWavefront { tile: 16 });
-        let (dc, par_dc) = (
-            pinned(Algorithm::Hirschberg),
-            pinned(Algorithm::ParallelHirschberg),
-        );
-        let cases = [
-            (
-                "hirschberg",
-                peak_of(|| dc.align3(&a, &b, &c).unwrap()),
-                memory::hirschberg(n1, n2, n3, false),
-            ),
-            (
-                "par-hirschberg",
-                peak_of(|| pool.install(|| par_dc.align3(&a, &b, &c).unwrap())),
-                memory::hirschberg(n1, n2, n3, true),
-            ),
-            (
-                "full lattice",
-                peak_of(|| full.align3(&a, &b, &c).unwrap()),
-                memory::full_lattice(n1, n2, n3),
-            ),
-            (
-                "tile lattice",
-                peak_of(|| pool.install(|| tiles.align3(&a, &b, &c).unwrap())),
-                memory::full_lattice(n1, n2, n3),
-            ),
-            (
-                "slab score sweep",
-                peak_of(|| full.score3(&a, &b, &c).unwrap()),
-                memory::slab_score(n2, n3),
-            ),
-            (
-                "plane score sweep",
-                peak_of(|| wavefront.score3(&a, &b, &c).unwrap()),
-                memory::plane_score(n1, n2),
-            ),
-        ];
-        for (name, measured, estimate) in cases {
-            let upper = estimate + allowance(n);
-            assert!(
-                measured >= estimate / 2 && measured <= upper,
-                "{name} on {n1}×{n2}×{n3}: measured peak {measured} B outside \
-                 [{}, {upper}] around the estimate {estimate} B",
-                estimate / 2,
-            );
+        for aligner in &aligners {
+            for score_only in [false, true] {
+                let plan = aligner.plan(n1, n2, n3, score_only);
+                // The affine DP's seven-state lattice skips the first
+                // shape: 212 MB and half a minute in a debug build.
+                if n1 == 20 && plan.algorithm == Algorithm::AffineDp {
+                    continue;
+                }
+                let estimate = plan.peak_bytes as usize;
+                let run = || {
+                    pool.install(|| match score_only {
+                        true => aligner.score3(&a, &b, &c).map(|_| None),
+                        false => aligner.align3(&a, &b, &c).map(Some),
+                    })
+                    .unwrap()
+                };
+                let measured = peak_of(run);
+                let upper = estimate + allowance(n);
+                if measured < estimate / 2 || measured > upper {
+                    outside.push(format!(
+                        "{plan:?} on {n1}×{n2}×{n3}: measured peak {measured} B outside \
+                         [{}, {upper}] around the plan's {estimate} B",
+                        estimate / 2,
+                    ));
+                }
+            }
         }
     }
+    assert!(outside.is_empty(), "{}", outside.join("\n"));
 }

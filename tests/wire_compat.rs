@@ -1,8 +1,9 @@
 //! Wire compatibility through the facade crate: a submit line written
-//! for an older server still parses, and a field the protocol has
-//! retired is ignored rather than refused.
+//! for an older server still parses, a field the protocol has retired is
+//! ignored rather than refused, and a retired algorithm is refused
+//! rather than run as something else.
 
-use three_seq_align::core::SimdKernel;
+use three_seq_align::core::{Algorithm, SimdKernel};
 use three_seq_align::service::content_uid;
 use three_seq_align::service::protocol::{parse_request, Request};
 use three_seq_align::service::AlignRequest;
@@ -36,4 +37,22 @@ fn retired_kernel_field_is_ignored() {
     // The retired names select no kernel anywhere else either.
     assert_eq!(SimdKernel::by_name("avx2-i16"), None);
     assert_eq!(SimdKernel::by_name("sse2-i16"), None);
+}
+
+/// `banded` was retired because its adaptive band returned sub-optimal
+/// scores (108 for 135 on a 50³ DNA triple of rotated blocks). A submit
+/// that still names it, or another retired algorithm, is refused as an
+/// invalid argument instead of being served by some other algorithm.
+#[test]
+fn retired_algorithm_is_an_invalid_argument() {
+    for name in ["banded", "blocked", "dataflow"] {
+        assert_eq!(Algorithm::by_name(name, 16), None, "{name}");
+        let line = format!(
+            r#"{{"op":"submit","id":"r","a":"GATTACA","b":"GATACA","c":"GTTACA","algorithm":"{name}"}}"#
+        );
+        let err = parse_request(&line).expect_err(name);
+        assert_eq!(err.code, "invalid_argument", "{name}");
+        assert_eq!(err.id.as_deref(), Some("r"));
+        assert!(err.message.contains(name), "{}", err.message);
+    }
 }
