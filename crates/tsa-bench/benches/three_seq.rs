@@ -48,7 +48,11 @@ fn bench_three_seq(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("carrillo_lipman", n), &n, |bch, _| {
-            bch.iter(|| carrillo_lipman::align_score_with_stats(&a, &b, &cc, &scoring).0)
+            bch.iter(|| {
+                carrillo_lipman::score(&a, &b, &cc, &scoring, SimdKernel::Auto, &never)
+                    .unwrap()
+                    .0
+            })
         });
         group.bench_with_input(BenchmarkId::new("local_sw3", n), &n, |bch, _| {
             bch.iter(|| local::align_score(&a, &b, &cc, &scoring))

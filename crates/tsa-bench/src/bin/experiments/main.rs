@@ -22,7 +22,6 @@ mod table5;
 mod table6;
 mod table7;
 mod table8;
-mod table9;
 
 use tsa_bench::{pool, table, RunConfig};
 use tsa_service::json::escape;
@@ -44,7 +43,6 @@ const IDS: &[(&str, &str)] = &[
     ("table7", "Carrillo-Lipman pruning effectiveness"),
     ("fig5", "simulated cluster scalability (alpha-beta model)"),
     ("table8", "progressive MSA vs exact optimum on triples"),
-    ("table9", "search-space reduction: full vs Carrillo-Lipman"),
     ("fig6", "wavefront load profile over execution"),
     ("fig7", "measured plane profile vs model prediction"),
     ("table10", "anchored seed-chain-extend vs exact DP"),
@@ -82,7 +80,6 @@ fn run_one(id: &str, cfg: &RunConfig, json_dir: Option<&str>) -> bool {
         "table7" => table7::run(cfg),
         "fig5" => fig5::run(cfg),
         "table8" => table8::run(cfg),
-        "table9" => table9::run(cfg),
         "fig6" => fig6::run(cfg),
         "fig7" => fig7::run(cfg),
         "table10" => table10::run(cfg),

@@ -38,7 +38,8 @@ ALIGN OPTIONS:
     --width <w>          output wrap width, 0 = no wrap                     [60]
     --format <f>         plain | fasta | clustal                            [plain]
     --score-only         print only the optimal score
-    --stats              print bounds, identity, and timing
+    --stats              print bounds, cells computed, fallback, identity,
+                         and timing
     --profile-planes     time every wavefront plane (forces the wavefront
                          fill) and print occupancy/imbalance/barrier
                          figures plus the cost-model comparison on stderr

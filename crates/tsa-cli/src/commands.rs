@@ -6,7 +6,7 @@ use crate::args::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsa_core::sweep::Order;
-use tsa_core::{bounds, format, Algorithm, Aligner, KernelKind};
+use tsa_core::{bounds, format, Algorithm, Aligner, CancelToken, KernelKind};
 use tsa_perfmodel::{model, planes, ClusterModel, CostModel};
 use tsa_scoring::GapModel;
 use tsa_seq::family::FamilyConfig;
@@ -577,7 +577,9 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
     }
 
     let start = Instant::now();
-    let aln = if args.profile_planes {
+    // The cells the run computed and the dense lattice a pruned run fell
+    // back to, for `--stats`.
+    let (aln, cells, fallback) = if args.profile_planes {
         if scoring.gap.linear_penalty().is_none() {
             return Err("--profile-planes requires a linear gap model".into());
         }
@@ -593,9 +595,13 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
         for line in cmp.to_string().lines() {
             eprintln!("#   {line}");
         }
-        aln
+        (aln, lattice.extents.cells() as u64, None)
     } else {
-        aligner.align3(&a, &b, &c).map_err(|e| e.to_string())?
+        let run = aligner
+            .run_cancellable(&a, &b, &c, false, &CancelToken::never())
+            .map_err(|e| e.to_string())?;
+        let aln = run.alignment.expect("alignment jobs trace back");
+        (aln, run.cells, run.fallback)
     };
     let elapsed = start.elapsed();
     aln.validate(&a, &b, &c)
@@ -625,6 +631,9 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
                 br.lower, br.upper
             );
         }
+        let cube = (a.len() + 1) * (b.len() + 1) * (c.len() + 1);
+        println!("# cells: {cells} of the lattice's {cube}");
+        println!("# fallback: {}", fallback.map_or("none", |f| f.name()));
         let st = tsa_core::stats::alignment_stats(&aln);
         println!("# columns: {}", st.columns);
         println!("# full-match columns: {}", st.full_match_columns);

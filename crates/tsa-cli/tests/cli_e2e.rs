@@ -113,6 +113,61 @@ fn gen_pipes_into_align_via_file() {
     assert!(stdout.contains("# bounds:"));
 }
 
+/// The `--stats` cells and fallback lines, and the lattice's cell count.
+fn cells_and_fallback(stdout: &str) -> (u64, String, u64) {
+    let value = |key: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no {key} in {stdout}"))
+            .trim()
+            .to_string()
+    };
+    let cube = value("# lengths:")
+        .split_whitespace()
+        .map(|n| n.parse::<u64>().unwrap() + 1)
+        .product();
+    let cells = value("# cells:");
+    assert!(
+        cells.ends_with(&format!("of the lattice's {cube}")),
+        "{cells}"
+    );
+    let computed = cells.split_whitespace().next().unwrap().parse().unwrap();
+    (computed, value("# fallback:"), cube)
+}
+
+#[test]
+fn align_stats_report_cells_computed_and_fallback() {
+    // A family triple: the pruned sweep computes a sliver of the lattice.
+    let dir = std::env::temp_dir().join("tsa-cli-e2e");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("family-stats.fa");
+    let (fasta, _, ok) = run(&["gen", "--len", "60", "--seed", "5"]);
+    assert!(ok);
+    std::fs::write(&path, &fasta).unwrap();
+    let (stdout, stderr, ok) = run(&["align", "--file", path.to_str().unwrap(), "--stats"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("CarrilloLipman"), "{stdout}");
+    let (cells, fallback, cube) = cells_and_fallback(&stdout);
+    assert!(cells < cube / 4, "{cells} of {cube}");
+    assert_eq!(fallback, "none");
+    // An unrelated 48×8×64 triple whose bound keeps 36% of the lattice,
+    // past the break-even share: the dense lattice runs.
+    let (stdout, stderr, ok) = run(&[
+        "align",
+        "--a",
+        "TCTTTCGTCTGCCACGGACGAAGAGCCCTGAATTAAGGTTTTCGTCCT",
+        "--b",
+        "GCTCCGTT",
+        "--c",
+        "AATTGTCTCAGGATTTAAGAAATTTCATAAGTGGATTGTTCAAAGGGGACTCGTTTTCTAAGCA",
+        "--stats",
+    ]);
+    assert!(ok, "{stderr}");
+    let (cells, fallback, cube) = cells_and_fallback(&stdout);
+    assert_eq!((cells, fallback.as_str()), (cube, "full"));
+}
+
 #[test]
 fn msa_subcommand_aligns_many_records() {
     let dir = std::env::temp_dir().join("tsa-cli-e2e");
@@ -136,14 +191,28 @@ fn plan_subcommand_prints_model() {
     assert!(ok);
     assert!(stdout.contains("lattice 64×64×64"));
     // One plan line per algorithm and job kind: a default score job runs
-    // the full DP's slab sweep and checkpoints as slabs.
-    assert!(
-        stdout
-            .lines()
-            .any(|l| l.split_whitespace().collect::<Vec<_>>()
-                == ["auto", "score", "full", "slabs", "slabs", "274625", "33800"]),
-        "{stdout}"
-    );
+    // the full DP's slab sweep and checkpoints as slabs; a default
+    // alignment runs the pruned slab sweep, priced at the dense lattice it
+    // may fall back to.
+    for want in [
+        ["auto", "score", "full", "slabs", "slabs", "274625", "33800"],
+        [
+            "auto",
+            "align",
+            "carrillo-lipman",
+            "slabs",
+            "-",
+            "274625",
+            "1098500",
+        ],
+    ] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.split_whitespace().collect::<Vec<_>>() == want),
+            "{stdout}"
+        );
+    }
     assert!(stdout.contains("predicted speedup"));
     assert!(stdout.contains("ethernet-cluster"));
 }

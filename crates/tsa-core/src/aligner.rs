@@ -19,11 +19,12 @@ pub enum Algorithm {
     /// Choose automatically, the fastest exact schedule for the job (see
     /// [`Aligner::plan`]): the affine DP for affine gap models,
     /// sequential divide and conquer when the full lattice would exceed
-    /// the memory budget, and the full-lattice DP otherwise. Both linear
-    /// choices run the aligner's SIMD slab rows. Score-only jobs run the
-    /// slab sweep, or, whatever the budget, the plane sweep when its
-    /// planes hold fewer cells (a third sequence more than twice as long
-    /// as the first).
+    /// the memory budget, and Carrillo–Lipman's pruned slab sweep
+    /// otherwise (which fills the dense lattice when the bound prunes
+    /// little). Every linear choice runs the aligner's SIMD slab rows.
+    /// Score-only jobs run the slab sweep, or, whatever the budget, the
+    /// plane sweep when its planes hold fewer cells (a third sequence more
+    /// than twice as long as the first).
     Auto,
     /// Sequential full-lattice DP (`O(n³)` time and space): the slab sweep
     /// with every slab kept, under the aligner's row kernel.
@@ -47,8 +48,12 @@ pub enum Algorithm {
     ParallelHirschberg,
     /// Center-star heuristic — **not exact**; `O(n²)` time.
     CenterStar,
-    /// Carrillo–Lipman bound-pruned DP: exact, and far cheaper than the
-    /// full lattice when the sequences are similar.
+    /// Carrillo–Lipman bound-pruned DP: the slab sweep over each `(i, j)`
+    /// row's kept `k`-interval only, with the canonical traceback of
+    /// `FullDp`. Exact, and far cheaper than the full lattice when the
+    /// sequences are similar; once its sparse store would pass a
+    /// measured share of the dense lattice's bytes it fills the dense
+    /// lattice instead.
     CarrilloLipman,
     /// Seed–chain–extend heuristic (**not exact**): exact DP only between
     /// shared k-mer anchors. Near-linear for similar sequences.
@@ -149,22 +154,41 @@ pub struct Plan {
     /// The [`crate::sweep`] order whose rows (hence SIMD rows) run: the
     /// score sweep of a score-only job; for an alignment, the slab loop
     /// of `FullDp` (every slab kept), the face sweeps of both Hirschbergs
-    /// or the tile loop of `TileWavefront`. `None` for the per-cell
-    /// `Wavefront` fill and the algorithms without a sweep.
+    /// or the tile loop of `TileWavefront`. Carrillo–Lipman runs the slab
+    /// rows over its kept intervals, or over the dense lattice after a
+    /// fallback. `None` for the per-cell `Wavefront` fill and the
+    /// algorithms without a sweep.
     pub order: Option<Order>,
     /// The snapshot kind a score-only job checkpoints as through
-    /// [`Aligner::score3_durable`]; `None` when it cannot checkpoint, and
-    /// for every alignment.
+    /// [`Aligner::score3_durable`]; `None` when it cannot checkpoint (the
+    /// pruned sweep keeps no rolling frontier), and for every alignment.
     pub checkpoint: Option<KernelKind>,
     /// Bytes of the `i32` score lattice the run materializes, which
     /// `max_lattice_bytes` caps; `None` when it keeps none.
     pub lattice_bytes: Option<usize>,
     /// DP cell updates the run performs (estimated for divide and
-    /// conquer, the cubic bound for the pruned DP).
+    /// conquer, the cubic bound for the pruned DP; [`Run::cells`] has
+    /// what a pruned run computed).
     pub cells: u64,
     /// Peak working-set bytes of the run's dominant buffers, less the
     /// `O(n)` terms (sequences, substitution profiles, traceback columns).
     pub peak_bytes: u64,
+}
+
+/// What one finished job computed: its answer, and the work behind it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// The job's score.
+    pub score: i32,
+    /// The alignment; `None` for a score-only job.
+    pub alignment: Option<Alignment3>,
+    /// DP cells the run computed: the plan's [`Plan::cells`], except that
+    /// Carrillo–Lipman reports its kept intervals' cells, or the whole
+    /// lattice after a fallback.
+    pub cells: u64,
+    /// The dense algorithm a pruned run fell back to
+    /// ([`Algorithm::FullDp`]), when its bound kept too much to prune.
+    pub fallback: Option<Algorithm>,
 }
 
 /// Builder for three-sequence alignment runs.
@@ -271,15 +295,20 @@ impl Aligner {
     ///    cells than two `(n2+1)(n3+1)` slabs (`n3 + 1 > 2(n1 + 1)`) runs
     ///    the plane sweep, [`Algorithm::Wavefront`], whatever the lattice
     ///    budget: the plane sweep holds no lattice;
-    /// 3. otherwise [`Algorithm::FullDp`], or [`Algorithm::Hirschberg`]
-    ///    when the full lattice would exceed `max_lattice_bytes`.
+    /// 3. otherwise [`Algorithm::Hirschberg`] when the full lattice would
+    ///    exceed `max_lattice_bytes`, else [`Algorithm::FullDp`] for a
+    ///    score-only job and [`Algorithm::CarrilloLipman`] for an
+    ///    alignment.
     ///
-    /// The SIMD slab lattice beats the per-cell plane wavefront and the
-    /// slab score sweep beats the plane and tile orders on every measured
-    /// job shape. Sequential Hirschberg leaves the other cores to
-    /// concurrent jobs; alone on an idle 2-core host the parallel one
-    /// finishes first from n = 64 on (`fig2`). Any other algorithm
-    /// resolves to itself.
+    /// The pruned sweep computes only the kept intervals of similar
+    /// triples and falls back to the SIMD slab lattice inside the run when
+    /// the bound prunes little, so its plan prices that lattice: the
+    /// budget rule and admission see what the run may hold. The SIMD slab
+    /// lattice beats the per-cell plane wavefront and the slab score sweep
+    /// beats the plane and tile orders on every measured job shape.
+    /// Sequential Hirschberg leaves the other cores to concurrent jobs;
+    /// alone on an idle 2-core host the parallel one finishes first from
+    /// n = 64 on (`fig2`). Any other algorithm resolves to itself.
     pub fn plan(&self, n1: usize, n2: usize, n3: usize, score_only: bool) -> Plan {
         const CELL: usize = std::mem::size_of::<i32>();
         let cube = (n1 + 1) * (n2 + 1) * (n3 + 1);
@@ -288,7 +317,8 @@ impl Aligner {
             Algorithm::Auto if self.scoring.gap.linear_penalty().is_none() => Algorithm::AffineDp,
             Algorithm::Auto if score_only && n3 + 1 > 2 * (n1 + 1) => Algorithm::Wavefront,
             Algorithm::Auto if lattice > self.max_lattice_bytes => Algorithm::Hirschberg,
-            Algorithm::Auto => Algorithm::FullDp,
+            Algorithm::Auto if score_only => Algorithm::FullDp,
+            Algorithm::Auto => Algorithm::CarrilloLipman,
             pinned => pinned,
         };
         let pairwise = (n1 + 1) * (n2 + 1) + (n1 + 1) * (n3 + 1) + (n2 + 1) * (n3 + 1);
@@ -328,9 +358,15 @@ impl Aligner {
                 let peak = hirschberg3::peak_bytes(n1, n2, n3, parallel);
                 (Some(Order::Slabs), None, 2 * cube, peak)
             }
-            // The lattice, plus the three pairwise "through" matrices the
-            // bound reads while filling it.
-            Algorithm::CarrilloLipman => (None, Some(lattice), cube, lattice + pairwise * CELL),
+            // Slab rows over the kept intervals, or over the dense lattice
+            // after a fallback: the budget caps that lattice, and the peak
+            // is the larger of the two paths.
+            Algorithm::CarrilloLipman => (
+                Some(Order::Slabs),
+                Some(lattice),
+                cube,
+                carrillo_lipman::peak_bytes(n1, n2, n3),
+            ),
             // Seven gap states per lattice cell. The budget caps only the
             // `i32` score lattice, so this one is priced but not capped.
             Algorithm::AffineDp => (None, None, 7 * cube, 7 * lattice),
@@ -341,10 +377,11 @@ impl Aligner {
                 (None, None, pairwise, rows)
             }
         };
+        let rolling = score_only && algorithm != Algorithm::CarrilloLipman;
         Plan {
             algorithm,
             order,
-            checkpoint: order.filter(|_| score_only).map(Order::checkpoint_kind),
+            checkpoint: order.filter(|_| rolling).map(Order::checkpoint_kind),
             lattice_bytes,
             cells: cells as u64,
             peak_bytes: peak_bytes as u64,
@@ -352,7 +389,7 @@ impl Aligner {
     }
 
     /// The one dispatch behind every entry point, on the job's
-    /// [`Aligner::plan`]. Score-only jobs of the sweep algorithms run the
+    /// [`Aligner::plan`]. Score-only jobs of the rolling sweeps run the
     /// [`crate::sweep`] engine (checkpointed when `checkpoint` is set);
     /// everything else runs its lattice algorithm. Every exact algorithm
     /// polls `cancel` once per slab or plane.
@@ -364,7 +401,7 @@ impl Aligner {
         score_only: bool,
         cancel: &CancelToken,
         checkpoint: Option<Checkpoint<'_>>,
-    ) -> Result<(i32, Option<Alignment3>), DurableStop> {
+    ) -> Result<Run, DurableStop> {
         let s = &self.scoring;
         let plan = self.plan(a.len(), b.len(), c.len(), score_only);
         let algorithm = plan.algorithm;
@@ -384,14 +421,20 @@ impl Aligner {
                 "tile must be ≥ 1",
             )));
         }
-        if let Some(order) = plan.order.filter(|_| score_only) {
+        let planned = |score, alignment| Run {
+            score,
+            alignment,
+            cells: plan.cells,
+            fallback: None,
+        };
+        if let (Some(order), Some(_)) = (plan.order, plan.checkpoint) {
             let sweep = Sweep {
                 order,
                 kernel: self.kernel,
                 cancel: Some(cancel),
                 checkpoint,
             };
-            return sweep.score(a, b, c, s).map(|score| (score, None));
+            return sweep.score(a, b, c, s).map(|score| planned(score, None));
         }
         if let Some(snap) = checkpoint.and_then(|ck| ck.resume) {
             return Err(DurableStop::InvalidResume(ResumeError::Kind {
@@ -399,9 +442,27 @@ impl Aligner {
                 found: snap.kind,
             }));
         }
+        if algorithm == Algorithm::CarrilloLipman {
+            let (score, alignment, pruning) = if score_only {
+                carrillo_lipman::score(a, b, c, s, self.kernel, cancel)
+                    .map(|(score, p)| (score, None, p))
+            } else {
+                carrillo_lipman::align(a, b, c, s, self.kernel, cancel)
+                    .map(|(aln, p)| (aln.score, Some(aln), p))
+            }
+            .map_err(DurableStop::Cancelled)?;
+            return Ok(Run {
+                score,
+                alignment,
+                cells: pruning.cells(),
+                fallback: pruning.fallback().then_some(Algorithm::FullDp),
+            });
+        }
         let traced = |lat: full::Lattice| full::traceback(&lat, a, b, c, s);
         let aln = match algorithm {
-            Algorithm::Auto => unreachable!("plan() never returns Auto"),
+            Algorithm::Auto | Algorithm::CarrilloLipman => {
+                unreachable!("plan() never returns Auto; the pruned DP ran above")
+            }
             Algorithm::FullDp => full::fill(a, b, c, s, self.kernel, cancel).map(traced),
             Algorithm::Wavefront => wavefront::fill(a, b, c, s, cancel).map(traced),
             Algorithm::TileWavefront { tile } => {
@@ -411,10 +472,9 @@ impl Aligner {
                 let parallel = algorithm == Algorithm::ParallelHirschberg;
                 hirschberg3::align(a, b, c, s, parallel, self.kernel, cancel)
             }
-            Algorithm::CarrilloLipman => carrillo_lipman::align(a, b, c, s, cancel),
             Algorithm::AffineDp if score_only => {
                 let lat = affine::fill(a, b, c, s, cancel).map_err(DurableStop::Cancelled)?;
-                return Ok((lat.final_score(), None));
+                return Ok(planned(lat.final_score(), None));
             }
             Algorithm::AffineDp => {
                 affine::fill(a, b, c, s, cancel).map(|lat| affine::traceback(&lat, a, b, c, s))
@@ -433,7 +493,24 @@ impl Aligner {
             )),
         }
         .map_err(DurableStop::Cancelled)?;
-        Ok((aln.score, (!score_only).then_some(aln)))
+        Ok(planned(aln.score, (!score_only).then_some(aln)))
+    }
+
+    /// One job, cooperatively cancellable: the alignment (or, with
+    /// `score_only`, the score alone) plus what the run computed — the
+    /// cells and any fallback a job's trace and `tsa align --stats`
+    /// report. [`Aligner::align3_cancellable`] and
+    /// [`Aligner::score3_cancellable`] wrap it.
+    pub fn run_cancellable(
+        &self,
+        a: &Seq,
+        b: &Seq,
+        c: &Seq,
+        score_only: bool,
+        cancel: &CancelToken,
+    ) -> Result<Run, AlignError> {
+        self.run(a, b, c, score_only, cancel, None)
+            .map_err(align_error)
     }
 
     /// Align three sequences, producing a full [`Alignment3`].
@@ -459,10 +536,8 @@ impl Aligner {
         c: &Seq,
         cancel: &CancelToken,
     ) -> Result<Alignment3, AlignError> {
-        let (_, aln) = self
-            .run(a, b, c, false, cancel, None)
-            .map_err(align_error)?;
-        Ok(aln.expect("alignment jobs trace back"))
+        let run = self.run_cancellable(a, b, c, false, cancel)?;
+        Ok(run.alignment.expect("alignment jobs trace back"))
     }
 
     /// Like [`Aligner::score3`], but cooperatively cancellable (see
@@ -474,10 +549,7 @@ impl Aligner {
         c: &Seq,
         cancel: &CancelToken,
     ) -> Result<i32, AlignError> {
-        Ok(self
-            .run(a, b, c, true, cancel, None)
-            .map_err(align_error)?
-            .0)
+        Ok(self.run_cancellable(a, b, c, true, cancel)?.score)
     }
 
     /// Like [`Aligner::score3_cancellable`], plus durability: the rolling
@@ -500,7 +572,7 @@ impl Aligner {
             config: ckpt,
             resume,
         };
-        Ok(self.run(a, b, c, true, cancel, Some(checkpoint))?.0)
+        Ok(self.run(a, b, c, true, cancel, Some(checkpoint))?.score)
     }
 }
 
@@ -582,12 +654,12 @@ mod tests {
     fn auto_constructor_selects_like_resolve() {
         let (a, b, c) = family_triple(7, 14);
         let auto = Aligner::auto(Scoring::dna_default());
-        assert_eq!(auto.resolve(a.len(), b.len(), c.len()), Algorithm::FullDp);
-        let pinned = Aligner::new().algorithm(Algorithm::FullDp);
         assert_eq!(
-            auto.align3(&a, &b, &c).unwrap().score,
-            pinned.align3(&a, &b, &c).unwrap().score
+            auto.resolve(a.len(), b.len(), c.len()),
+            Algorithm::CarrilloLipman
         );
+        let pinned = Aligner::new().algorithm(Algorithm::FullDp);
+        assert_eq!(auto.align3(&a, &b, &c), pinned.align3(&a, &b, &c));
     }
 
     #[test]
@@ -600,7 +672,9 @@ mod tests {
     fn auto_resolves_large_to_dc() {
         let al = Aligner::new().max_lattice_bytes(1 << 20);
         assert_eq!(al.resolve(1000, 1000, 1000), Algorithm::Hirschberg);
-        assert_eq!(al.resolve(10, 10, 10), Algorithm::FullDp);
+        assert_eq!(al.resolve(10, 10, 10), Algorithm::CarrilloLipman);
+        // The pruned plan keeps the lattice budget: 64³ is 1.1 MB.
+        assert_eq!(al.resolve(64, 64, 64), Algorithm::Hirschberg);
     }
 
     #[test]
@@ -620,10 +694,11 @@ mod tests {
         assert_eq!(lopsided.checkpoint, Some(KernelKind::Planes));
         assert_eq!(lopsided.order, Some(Order::Planes));
         assert_eq!(lopsided.peak_bytes, 4 * 2 * 20_001 * 4);
-        // Rule 3: an alignment keeps the slab lattice whatever the shape,
-        // and so does a balanced score job...
-        assert_eq!(al.resolve(1, 20_000, 20_000), Algorithm::FullDp);
+        // Rule 3: an alignment runs the pruned slab sweep whatever the
+        // shape, and a balanced score job the slab score sweep...
+        assert_eq!(al.resolve(1, 20_000, 20_000), Algorithm::CarrilloLipman);
         assert_eq!(al.plan(1, 20_000, 20_000, false).order, Some(Order::Slabs));
+        assert_eq!(algorithm(&al, 100, 100, 100), Algorithm::FullDp);
         // ...down to divide and conquer over the lattice budget. The plane
         // sweep holds no lattice, so the budget does not move rule 2.
         let small = Aligner::new().max_lattice_bytes(1 << 20);
@@ -672,10 +747,20 @@ mod tests {
         assert_eq!(order(Algorithm::ParallelHirschberg), Some(Order::Slabs));
         let tiles = Algorithm::TileWavefront { tile: 4 };
         assert_eq!(order(tiles), Some(Order::Tiles { tile: 4 }));
+        // The pruned sweep runs slab rows over its intervals (or the dense
+        // lattice), score-only too, but has no rolling frontier to
+        // checkpoint.
+        assert_eq!(order(Algorithm::Auto), Some(Order::Slabs));
+        assert_eq!(order(Algorithm::CarrilloLipman), Some(Order::Slabs));
+        let cl_score = plan(Algorithm::CarrilloLipman, true);
+        assert_eq!(
+            (cl_score.order, cl_score.checkpoint),
+            (Some(Order::Slabs), None)
+        );
         // The per-cell plane fill and the non-sweep algorithms run no
         // SIMD rows.
         assert_eq!(order(Algorithm::Wavefront), None);
-        assert_eq!(order(Algorithm::CarrilloLipman), None);
+        assert_eq!(order(Algorithm::CenterStar), None);
         assert_eq!(plan(Algorithm::Wavefront, true).order, Some(Order::Planes));
         assert_eq!(
             plan(Algorithm::ParallelHirschberg, true).order,
@@ -711,9 +796,14 @@ mod tests {
         assert_eq!(dc.cells, 2 * cube);
         assert!(dc.peak_bytes < full.peak_bytes);
         assert_eq!(dc.lattice_bytes, None);
-        // Carrillo–Lipman adds its three pairwise through matrices.
-        let cl = plan(Algorithm::CarrilloLipman, true);
-        assert_eq!(cl.peak_bytes, 4 * (cube + 10 * 20 + 10 * 30 + 20 * 30));
+        // Carrillo–Lipman prices the dense lattice it may fall back to,
+        // here larger than its worst pruned run; `Auto` alignments plan
+        // the same.
+        let cl = plan(Algorithm::CarrilloLipman, false);
+        assert_eq!(cl.lattice_bytes, Some(4 * cube as usize));
+        assert_eq!((cl.cells, cl.peak_bytes), (cube, 4 * cube));
+        assert_eq!(plan(Algorithm::Auto, false), cl);
+        assert_eq!(plan(Algorithm::CarrilloLipman, true).peak_bytes, 4 * cube);
         // Seven affine states per cell, priced but not capped.
         let affine = Aligner::new()
             .gap(GapModel::affine(-4, -1))
@@ -822,6 +912,7 @@ mod tests {
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
             Algorithm::TileWavefront { tile: 4 },
+            Algorithm::CarrilloLipman,
         ] {
             let al = Aligner::new().algorithm(alg);
             assert_eq!(
@@ -848,6 +939,7 @@ mod tests {
             Algorithm::Hirschberg,
             Algorithm::ParallelHirschberg,
             Algorithm::TileWavefront { tile: 4 },
+            Algorithm::CarrilloLipman,
             Algorithm::AffineDp,
         ] {
             let al = Aligner::new().algorithm(alg);
@@ -866,6 +958,44 @@ mod tests {
                 "{alg:?}"
             );
         }
+    }
+
+    #[test]
+    fn runs_report_the_cells_they_computed() {
+        let never = CancelToken::never();
+        let run = |al: &Aligner, (a, b, c): &(Seq, Seq, Seq), score_only| {
+            let plan = al.plan(a.len(), b.len(), c.len(), score_only);
+            (
+                plan,
+                al.run_cancellable(a, b, c, score_only, &never).unwrap(),
+            )
+        };
+        // A family triple: the pruned sweep computes a sliver of the cube,
+        // for `Auto` alignments and pinned score-only jobs alike.
+        let family = family_triple(3, 40);
+        let pinned = Aligner::new().algorithm(Algorithm::CarrilloLipman);
+        for (al, score_only) in [(Aligner::new(), false), (pinned, true)] {
+            let (plan, pruned) = run(&al, &family, score_only);
+            assert_eq!(plan.algorithm, Algorithm::CarrilloLipman);
+            assert!(
+                pruned.cells < plan.cells / 4,
+                "{} of {}",
+                pruned.cells,
+                plan.cells
+            );
+            assert_eq!(pruned.fallback, None);
+            assert_eq!(pruned.alignment.is_none(), score_only);
+        }
+        // A triple whose bound keeps 36% of the cube: the dense lattice.
+        let dna = |n, seed| tsa_seq::gen::random_seq_seeded(tsa_seq::Alphabet::Dna, n, seed);
+        let wide = (dna(48, 9060), dna(8, 19060), dna(64, 29060));
+        let (plan, dense) = run(&Aligner::new(), &wide, false);
+        assert_eq!(dense.cells, plan.cells);
+        assert_eq!(dense.fallback, Some(Algorithm::FullDp));
+        let full = Aligner::new().algorithm(Algorithm::FullDp);
+        let (plan, reference) = run(&full, &wide, false);
+        assert_eq!((reference.cells, reference.fallback), (plan.cells, None));
+        assert_eq!(dense.alignment, reference.alignment);
     }
 
     #[test]

@@ -30,18 +30,34 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> CenterStarResult {
     let seqs = [a, b, c];
     // Pairwise optimal scores (linear space — the heuristic's cost budget
     // is quadratic).
-    let s_ab = hirschberg::align(a, b, scoring).score;
-    let s_ac = hirschberg::align(a, c, scoring).score;
-    let s_bc = hirschberg::align(b, c, scoring).score;
+    let [s_ab, s_ac, s_bc] =
+        [(a, b), (a, c), (b, c)].map(|(x, y)| hirschberg::align(x, y, scoring).score);
     let sums = [s_ab + s_ac, s_ab + s_bc, s_ac + s_bc];
     let center = (0..3).max_by_key(|&i| sums[i]).expect("three candidates");
+    let alignment = merged(scoring, center, |center, other| {
+        hirschberg::align(seqs[center], seqs[other], scoring)
+    });
+    CenterStarResult { center, alignment }
+}
+
+/// The three-row alignment merged on input `center` from `pair(center, x)`
+/// and `pair(center, y)`, where `pair(center, other)` aligns input
+/// `center` (row `a`) to input `other` (row `b`), by index in input
+/// order; rows in input order, re-scored. Any optimal pairwise alignments
+/// will do: Carrillo–Lipman merges on every center from the forward
+/// matrices its bound needs anyway, and keeps the best score.
+pub(crate) fn merged(
+    scoring: &Scoring,
+    center: usize,
+    mut pair: impl FnMut(usize, usize) -> PairAlignment,
+) -> Alignment3 {
     let (x, y) = match center {
         0 => (1, 2),
         1 => (0, 2),
         _ => (0, 1),
     };
-    let aln_x = hirschberg::align(seqs[center], seqs[x], scoring);
-    let aln_y = hirschberg::align(seqs[center], seqs[y], scoring);
+    let aln_x = pair(center, x);
+    let aln_y = pair(center, y);
     let merged = merge_on_center(&aln_x, &aln_y);
 
     // merged rows: [center, x, y] → reorder to input order.
@@ -55,7 +71,7 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> CenterStarResult {
     }
     let mut alignment = Alignment3::new(columns, 0);
     alignment.score = alignment.rescore(scoring);
-    CenterStarResult { center, alignment }
+    alignment
 }
 
 /// Merge two pairwise alignments that share their first row (the center):

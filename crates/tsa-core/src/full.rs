@@ -65,21 +65,47 @@ pub fn fill(
     sweep::fill_lattice(a, b, c, scoring, kernel, cancel)
 }
 
+/// A filled score lattice the traceback reads: the dense [`Lattice`], or
+/// the pruned sweep's sparse store, whose pruned cells read `NEG_INF`.
+pub trait Scores {
+    /// The lattice extents.
+    fn extents(&self) -> Extents;
+    /// Score at `(i, j, k)`.
+    fn score_at(&self, i: usize, j: usize, k: usize) -> i32;
+}
+
+impl Scores for Lattice {
+    fn extents(&self) -> Extents {
+        self.extents
+    }
+
+    fn score_at(&self, i: usize, j: usize, k: usize) -> i32 {
+        self.at(i, j, k)
+    }
+}
+
 /// Trace one canonical optimal path through a filled lattice.
-pub fn traceback(lat: &Lattice, a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
+pub fn traceback(
+    lat: &(impl Scores + ?Sized),
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+) -> Alignment3 {
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let e = lat.extents;
+    let e = lat.extents();
     let (mut i, mut j, mut k) = (e.n1, e.n2, e.n3);
     let mut columns = Vec::with_capacity(e.n1 + e.n2 + e.n3);
     while i > 0 || j > 0 || k > 0 {
-        let mv = kernel.winning_move(i, j, k, lat.at(i, j, k), |pi, pj, pk| lat.at(pi, pj, pk));
+        let at = |pi, pj, pk| lat.score_at(pi, pj, pk);
+        let mv = kernel.winning_move(i, j, k, at(i, j, k), at);
         columns.push(kernel.column(i, j, k, mv));
         i -= usize::from(mv.da);
         j -= usize::from(mv.db);
         k -= usize::from(mv.dc);
     }
     columns.reverse();
-    Alignment3::new(columns, lat.final_score())
+    Alignment3::new(columns, lat.score_at(e.n1, e.n2, e.n3))
 }
 
 /// Optimal three-sequence alignment by sequential full-lattice DP, under

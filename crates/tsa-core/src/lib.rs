@@ -11,8 +11,8 @@
 //! | [`sweep`] | the exact sweep engine: slab, plane, or `t×t×t` tile order × SIMD kernel × cancel × checkpoint | score (slabs: also Hirschberg faces) | `O(n³)` / `O(n³/P)` | `O(n²)` (tiles `O(n³)`) |
 //! | [`hirschberg3`] | 3D divide & conquer over slab faces, one or two face sweeps at a time | score + alignment | `≤ 2·O(n³)` | `O(n²)` |
 //! | [`affine`] | quasi-natural affine-gap DP (Gotoh-style, 7 gap states) | score + alignment | `O(7²·n³)` | `O(7·n³)` |
-//! | [`carrillo_lipman`] | bound-pruned DP (skips cells no optimal path can cross) | score + alignment | `≪ O(n³)` for similar inputs | `O(n³)` |
-//! //! | [`local`] | 3D Smith–Waterman (best common sub-segments) | score + local alignment | `O(n³)` | `O(n³)` |
+//! | [`carrillo_lipman`] | bound-pruned DP: the slab sweep over each `(i, j)` row's kept `k`-interval (what `auto` alignments run), the dense lattice past a break-even | score + alignment | `O(kept + n²)`, `≪ O(n³)` for similar inputs | `O(kept + n²)`; `O(n³)` after a fallback |
+//! | [`local`] | 3D Smith–Waterman (best common sub-segments) | score + local alignment | `O(n³)` | `O(n³)` |
 //! | [`anchored`] | seed–chain–extend heuristic (exact DP between shared k-mer anchors) | near-optimal alignment | ≈ linear for similar inputs | gap-sized lattices |
 //! | [`center_star`] | heuristic baseline from pairwise alignments | approximate alignment | `O(n²)` | `O(n²)` |
 //! | [`bounds`] | pairwise-projection upper bound | bound | `O(n²)` | `O(n)` |
@@ -53,7 +53,7 @@ pub mod stats;
 pub mod sweep;
 pub mod wavefront;
 
-pub use aligner::{Algorithm, AlignError, Aligner, Plan};
+pub use aligner::{Algorithm, AlignError, Aligner, Plan, Run};
 pub use alignment::{Alignment3, Column3, ValidationError};
 pub use cancel::{CancelProgress, CancelToken};
 pub use checkpoint::{

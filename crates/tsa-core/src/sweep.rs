@@ -7,7 +7,8 @@
 //!   slabs of `(n2+1)(n3+1)` cells. The final slab is exactly
 //!   `D[n1][·][·]`, the face Hirschberg's split needs, and the slab loop
 //!   is the only producer of faces. [`crate::full`] runs the same loop
-//!   with every slab kept.
+//!   with every slab kept, and [`crate::carrillo_lipman`] runs its rows
+//!   over each `(i, j)` row's kept `k`-interval only, in a sparse store.
 //! * [`Order::Planes`] — anti-diagonal planes `d = i + j + k`, the cells of
 //!   each plane in parallel, four rotating `(n1+1)(n2+1)` plane buffers (a
 //!   cell's seven predecessors live on planes `d−1..d−3`). Scores only.
@@ -238,6 +239,161 @@ pub(crate) fn fill_tiles(
         scores: tile_loop(&ctx, tile, Some(cancel))?.into_vec(),
         extents: Extents::new(a.len(), b.len(), c.len()),
     })
+}
+
+/// One `(i, j)` row's kept `k`-interval in a [`SparseLattice`]: cells
+/// `lo..lo + len`, stored from `off` on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    /// First kept `k`.
+    pub lo: u32,
+    /// Kept cells (`0` for a pruned row).
+    pub len: u32,
+    /// Offset of the row's first cell in [`SparseLattice::scores`].
+    pub off: u32,
+}
+
+/// The pruned sweep's lattice: each `(i, j)` row's kept `k`-interval,
+/// back to back in one allocation. Every other cell reads `NEG_INF`.
+#[derive(Debug)]
+pub(crate) struct SparseLattice {
+    /// One span per `(i, j)`, at `i * (n2 + 1) + j`.
+    spans: Vec<Span>,
+    /// The kept cells, row after row.
+    scores: Vec<i32>,
+    extents: Extents,
+}
+
+impl SparseLattice {
+    /// Cells the spans keep.
+    pub(crate) fn kept(spans: &[Span]) -> usize {
+        spans.last().map_or(0, |s| (s.off + s.len) as usize)
+    }
+
+    /// Score at `(i, j, k)`; `NEG_INF` outside the row's span.
+    #[inline(always)]
+    pub(crate) fn at(&self, i: usize, j: usize, k: usize) -> i32 {
+        let s = self.spans[i * (self.extents.n2 + 1) + j];
+        let x = k.wrapping_sub(s.lo as usize);
+        if x < s.len as usize {
+            self.scores[s.off as usize + x]
+        } else {
+            NEG_INF
+        }
+    }
+
+    /// Cells `kb..kb + out.len()` of row `(i, j)` into `out`, `NEG_INF`
+    /// outside its span.
+    fn window(&self, i: usize, j: usize, kb: usize, out: &mut [i32]) {
+        out.fill(NEG_INF);
+        let s = self.spans[i * (self.extents.n2 + 1) + j];
+        let (lo, off) = (s.lo as usize, s.off as usize);
+        let from = lo.max(kb);
+        let to = (lo + s.len as usize).min(kb + out.len());
+        if from < to {
+            out[from - kb..to - kb].copy_from_slice(&self.scores[off + from - lo..off + to - lo]);
+        }
+    }
+}
+
+impl crate::full::Scores for SparseLattice {
+    fn extents(&self) -> Extents {
+        self.extents
+    }
+
+    fn score_at(&self, i: usize, j: usize, k: usize) -> i32 {
+        self.at(i, j, k)
+    }
+}
+
+/// The slab loop over the kept cells only: slab by slab, every `(i, j)`
+/// row's span, under `kernel`'s rows. Interior rows run the SIMD slab row
+/// over the window `[lo − 1, hi]` (`[0, hi]` when the span starts at the
+/// `k = 0` face), reading predecessor windows copied out of the store with
+/// `NEG_INF` outside their spans; face rows (`i` or `j` of 0) and the
+/// `k = 0` cell take the generic kernel, as [`compute_slab`] does. Polls
+/// `cancel` once per slab; progress counts kept cells.
+pub(crate) fn fill_sparse(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    kernel: SimdKernel,
+    spans: Vec<Span>,
+    cancel: &CancelToken,
+) -> Result<SparseLattice, CancelProgress> {
+    let (ra, rb, rc) = (a.residues(), b.residues(), c.residues());
+    let dp = Kernel::new(ra, rb, rc, scoring);
+    let rk = kernel.resolve();
+    // The rows read their substitution scores from the profiles, scalar
+    // rows included.
+    let prof = Profiles::new(scoring, ra, rb, rc);
+    let g2 = 2 * scoring.gap_linear();
+    let (n1, n2, n3) = (a.len(), b.len(), c.len());
+    let total = SparseLattice::kept(&spans);
+    let mut lat = SparseLattice {
+        scores: vec![NEG_INF; total],
+        spans,
+        extents: Extents::new(n1, n2, n3),
+    };
+    // Predecessor windows and the row being computed, `n3 + 1` at most.
+    let mut win = vec![NEG_INF; 4 * (n3 + 1)];
+    let mut done = 0usize;
+    for i in 0..=n1 {
+        if cancel.should_stop() {
+            return Err(CancelProgress {
+                cells_done: done as u64,
+                cells_total: total as u64,
+            });
+        }
+        for j in 0..=n2 {
+            let s = lat.spans[i * (n2 + 1) + j];
+            let (lo, len, off) = (s.lo as usize, s.len as usize, s.off as usize);
+            if len == 0 {
+                continue;
+            }
+            done += len;
+            let hi = lo + len - 1;
+            if i == 0 || j == 0 || lo == 0 {
+                // Face cells: the generic kernel over sparse reads.
+                let face_hi = if i == 0 || j == 0 { hi } else { 0 };
+                for k in lo..=face_hi {
+                    let v = dp.cell(i, j, k, |pi, pj, pk| lat.at(pi, pj, pk));
+                    lat.scores[off + k - lo] = v;
+                }
+                if face_hi == hi {
+                    continue;
+                }
+            }
+            // Interior cells `kb + 1..=hi`, seeded with cell `kb`: the
+            // `k = 0` cell just computed, or the pruned cell left of the
+            // span.
+            let kb = lo.max(1) - 1;
+            let w = hi - kb + 1;
+            let (prev_j1, rest) = win.split_at_mut(n3 + 1);
+            let (prev_j, rest) = rest.split_at_mut(n3 + 1);
+            let (cur_j1, row) = rest.split_at_mut(n3 + 1);
+            let (prev_j1, prev_j, cur_j1) = (&mut prev_j1[..w], &mut prev_j[..w], &mut cur_j1[..w]);
+            lat.window(i - 1, j - 1, kb, prev_j1);
+            lat.window(i - 1, j, kb, prev_j);
+            lat.window(i, j - 1, kb, cur_j1);
+            row[0] = lat.at(i, j, kb);
+            let (ai, bj) = (ra[i - 1], rb[j - 1]);
+            let slab_row_in = SlabRow {
+                g2,
+                sab: scoring.sub(ai, bj),
+                sac: &prof.ac(ai)[kb..hi],
+                sbc: &prof.bc(bj)[kb..hi],
+                prev_j1,
+                prev_j,
+                cur_j1,
+            };
+            slab_row(rk, &slab_row_in, &mut row[..w]);
+            let first = kb + 1 - lo;
+            lat.scores[off + first..off + len].copy_from_slice(&row[1..w]);
+        }
+    }
+    Ok(lat)
 }
 
 /// The slab loop over `slots` slab slots (see [`slab_loop`]), polling
@@ -1017,6 +1173,68 @@ mod tests {
                     let got = fill_tiles(&a, &b, &c, &scoring, kernel, tile, &never).unwrap();
                     assert_eq!(got.extents, want.extents);
                     assert!(got.scores == want.scores, "tile {tile} under {name}");
+                }
+            }
+        }
+    }
+
+    /// The sparse fill over arbitrary spans (empty rows, spans starting
+    /// at the `k = 0` face or past it, lengths 0 and 1 included) equals the
+    /// generic kernel over a dense lattice whose cells outside the spans
+    /// hold `NEG_INF`, under the scalar and the SIMD rows alike. Cells that
+    /// no path from the origin reaches inside the spans hold values below
+    /// `NEG_INF / 2` in both (the generic kernel floors them at `NEG_INF`,
+    /// the slab rows do not), which the traceback never follows.
+    #[test]
+    fn sparse_fill_matches_the_generic_kernel_over_any_spans() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_5a25);
+        let never = CancelToken::never();
+        for trial in 0..40 {
+            let (a, b, c) = random_triple(trial + 200, 24);
+            let e = Extents::new(a.len(), b.len(), c.len());
+            let n3 = e.n3;
+            let mut spans = Vec::new();
+            let mut off = 0;
+            for _ in 0..(e.n1 + 1) * (e.n2 + 1) {
+                let mut span = Span {
+                    off,
+                    ..Span::default()
+                };
+                if rng.gen_range(0..4) != 0 {
+                    let lo = rng.gen_range(0..=n3);
+                    span.lo = lo as u32;
+                    span.len = (rng.gen_range(lo..=n3) - lo + 1) as u32;
+                }
+                off += span.len;
+                spans.push(span);
+            }
+            let scoring = s();
+            let dp = Kernel::new(a.residues(), b.residues(), c.residues(), &scoring);
+            let mut want = vec![NEG_INF; e.cells()];
+            for i in 0..=e.n1 {
+                for j in 0..=e.n2 {
+                    let span = spans[i * (e.n2 + 1) + j];
+                    for k in span.lo as usize..(span.lo + span.len) as usize {
+                        want[e.index(i, j, k)] =
+                            dp.cell(i, j, k, |pi, pj, pk| want[e.index(pi, pj, pk)]);
+                    }
+                }
+            }
+            for kernel in [SimdKernel::Scalar, SimdKernel::Auto] {
+                let got = fill_sparse(&a, &b, &c, &s(), kernel, spans.clone(), &never).unwrap();
+                for i in 0..=e.n1 {
+                    for j in 0..=e.n2 {
+                        for k in 0..=n3 {
+                            let (got, want) = (got.at(i, j, k), want[e.index(i, j, k)]);
+                            let at = format!("trial {trial} {kernel} ({i},{j},{k})");
+                            if want > NEG_INF / 2 {
+                                assert_eq!(got, want, "{at}");
+                            } else {
+                                assert!(got <= NEG_INF / 2, "{at}: {got}");
+                            }
+                        }
+                    }
                 }
             }
         }

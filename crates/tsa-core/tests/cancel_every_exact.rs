@@ -2,9 +2,11 @@
 //! `align3_cancellable` and `score3_cancellable`, deadlines swept from 0
 //! to the measured uncancelled run time must yield either the exact
 //! optimum or `Cancelled` with coherent progress — and at least one
-//! deadline per algorithm must land mid-fill (`0 < cells_done <
+//! deadline per algorithm and input must land mid-fill (`0 < cells_done <
 //! cells_total`), so the sweep cannot pass vacuously by only ever
-//! finishing or only ever stopping before the first step.
+//! finishing or only ever stopping before the first step. Carrillo–Lipman
+//! runs two inputs: one its bound prunes (the sparse sweep) and one it
+//! keeps too much of (the dense fallback).
 
 use std::time::Instant;
 
@@ -53,20 +55,48 @@ fn run(
 
 #[test]
 fn every_exact_algorithm_stops_mid_fill_or_finishes_exactly() {
-    // Unrelated sequences: the pruned algorithm gets no shortcut, so
-    // every algorithm spends its time in polled fills.
-    let seqs = [32, 30, 34].map(|len| random_seq_seeded(Alphabet::Dna, len, len as u64));
+    // Unrelated sequences: every algorithm spends most of its time in
+    // polled fills; the bound still prunes most of this cube.
+    let dna = |len, seed| random_seq_seeded(Alphabet::Dna, len, seed);
+    let pruned = [32, 30, 34].map(|len| dna(len, len as u64));
+    // A lopsided unrelated triple whose bound keeps 36% of the cube.
+    let dense = [dna(48, 9060), dna(8, 19060), dna(64, 29060)];
     for (alg, aligner) in exact_aligners() {
+        let inputs: &[[Seq; 3]] = match alg {
+            Algorithm::CarrilloLipman => &[pruned.clone(), dense.clone()],
+            _ => std::slice::from_ref(&pruned),
+        };
+        for seqs in inputs {
+            let [a, b, c] = seqs;
+            let ran = aligner.run_cancellable(a, b, c, false, &CancelToken::never());
+            let fallback = ran.unwrap().fallback;
+            if alg == Algorithm::CarrilloLipman {
+                // The two inputs take the two paths.
+                assert_eq!(
+                    fallback.is_some(),
+                    std::ptr::eq(seqs, &inputs[1]),
+                    "{alg:?}"
+                );
+            }
+            sweep_deadlines(alg, &aligner, seqs);
+        }
+    }
+}
+
+/// Deadlines from 0 to the uncancelled run time, through both entry
+/// points; at least one must stop the run mid-fill.
+fn sweep_deadlines(alg: Algorithm, aligner: &Aligner, seqs: &[Seq; 3]) {
+    {
         let mut mid_fill = 0;
         for align in [true, false] {
             let started = Instant::now();
-            let optimum = run(&aligner, &seqs, align, &CancelToken::never())
+            let optimum = run(aligner, seqs, align, &CancelToken::never())
                 .unwrap_or_else(|e| panic!("{alg:?} uncancelled: {e}"));
             let full_run = started.elapsed();
             for step in 0..=STEPS {
                 let deadline = full_run.mul_f64(f64::from(step) / f64::from(STEPS));
                 let token = CancelToken::with_timeout(deadline);
-                match run(&aligner, &seqs, align, &token) {
+                match run(aligner, seqs, align, &token) {
                     Ok(score) => assert_eq!(score, optimum, "{alg:?} align={align}"),
                     Err(AlignError::Cancelled(p)) => {
                         assert!(

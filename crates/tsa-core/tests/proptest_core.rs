@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 use tsa_core::anchored::{self, AnchorConfig};
-use tsa_core::{carrillo_lipman, center_star, full, local};
+use tsa_core::{carrillo_lipman, center_star, full, local, CancelToken, SimdKernel};
 use tsa_scoring::Scoring;
+use tsa_seq::family::FamilyConfig;
 use tsa_seq::Seq;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Seq> {
@@ -20,15 +21,46 @@ fn scoring() -> Scoring {
     Scoring::dna_default()
 }
 
+/// The pruned sweep's alignment and score under `kernel` must equal the
+/// scalar full lattice's, column for column.
+fn pruned_matches_full([a, b, c]: &[Seq; 3], s: &Scoring, kernel: SimdKernel) {
+    let never = CancelToken::never();
+    let want = full::align(a, b, c, s);
+    let (aln, pruning) = carrillo_lipman::align(a, b, c, s, kernel, &never).unwrap();
+    let (score, _) = carrillo_lipman::score(a, b, c, s, kernel, &never).unwrap();
+    prop_assert_eq!(&aln, &want);
+    prop_assert_eq!(score, want.score);
+    prop_assert!(pruning.cells() <= pruning.cube);
+    prop_assert_eq!(pruning.cells() == pruning.cube, pruning.fallback());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn carrillo_lipman_always_recovers_the_optimum(a in dna(10), b in dna(10), c in dna(10)) {
-        let s = scoring();
-        let (score, stats) = carrillo_lipman::align_score_with_stats(&a, &b, &c, &s);
-        prop_assert_eq!(score, full::align_score(&a, &b, &c, &s));
-        prop_assert!(stats.visited <= stats.total);
+    fn carrillo_lipman_always_recovers_the_optimum(a in dna(40), b in dna(40), c in dna(40)) {
+        // Unrelated triples, lengths 0 and 1 included.
+        pruned_matches_full(&[a, b, c], &scoring(), SimdKernel::Auto);
+    }
+
+    #[test]
+    fn pruned_sweep_matches_full_on_families(
+        len in 1usize..=40,
+        rate in 0.0f64..=0.5,
+        seed in any::<u64>(),
+        protein in any::<bool>(),
+        scalar in any::<bool>(),
+    ) {
+        // Family triples from identical to half substituted, DNA under the
+        // default scoring and protein under BLOSUM62, long enough that
+        // intervals span 8 or more SIMD lanes; under the scalar rows too.
+        let (config, s) = if protein {
+            (FamilyConfig::protein(len, rate, 0.05), Scoring::blosum62())
+        } else {
+            (FamilyConfig::new(len, rate, 0.05), scoring())
+        };
+        let kernel = if scalar { SimdKernel::Scalar } else { SimdKernel::Auto };
+        pruned_matches_full(&config.generate(seed).members, &s, kernel);
     }
 
     #[test]

@@ -1167,7 +1167,7 @@ mod tests {
         let outcome = handle.wait();
         let result = outcome.result().expect("job completes");
         assert!(!result.cached);
-        assert_eq!(result.algorithm, Algorithm::FullDp);
+        assert_eq!(result.algorithm, Algorithm::CarrilloLipman);
         assert!(result.rows.is_some());
         let stats = engine.shutdown();
         assert_eq!(stats.submitted, 1);
@@ -1561,6 +1561,58 @@ mod tests {
     }
 
     #[test]
+    fn kernel_spans_report_cells_computed_and_fallbacks() {
+        let sink = Arc::new(tsa_obs::RingSink::with_capacity(64));
+        let engine = Engine::start(ServiceConfig {
+            tracer: Some(Tracer::new(sink.clone())),
+            ..small_config()
+        });
+        let family = tsa_seq::family::FamilyConfig::new(60, 0.15, 0.05).generate(5);
+        let [a, b, c] = family.members;
+        let cube = ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64;
+        // An unrelated lopsided triple whose bound keeps 36% of the cube,
+        // past the break-even share.
+        let dna = |n, seed| tsa_seq::gen::random_seq_seeded(tsa_seq::Alphabet::Dna, n, seed);
+        let wide = [dna(48, 9060), dna(8, 19060), dna(64, 29060)];
+        let wide_cube = 49 * 9 * 65;
+        let pinned = AlignRequest::new("pinned", a.clone(), b.clone(), c.clone())
+            .algorithm(Algorithm::FullDp);
+        let [x, y, z] = wide;
+        for req in [
+            AlignRequest::new("pruned", a, b, c),
+            AlignRequest::new("fallback", x, y, z),
+            pinned,
+        ] {
+            engine.submit(req).unwrap().wait().result().unwrap();
+        }
+        engine.shutdown();
+        let records = sink.snapshot();
+        let kernel = |tag: &str| {
+            let root = records
+                .iter()
+                .find(|r| {
+                    r.name == "job" && r.field("tag").map(|v| v.to_string()) == Some(tag.into())
+                })
+                .unwrap_or_else(|| panic!("no job span for {tag}"));
+            let span = records
+                .iter()
+                .find(|r| r.name == "kernel" && r.parent == Some(root.id))
+                .unwrap_or_else(|| panic!("no kernel span for {tag}"));
+            let field = |key| span.field(key).map(|v| v.to_string());
+            let cells: u64 = field("cells").expect("cells annotated").parse().unwrap();
+            (cells, field("fallback"), field("algorithm"))
+        };
+        let (cells, fallback, algorithm) = kernel("pruned");
+        assert!(cells > 0 && cells < cube / 4, "{cells} of {cube}");
+        assert_eq!(fallback, None);
+        assert_eq!(algorithm.as_deref(), Some("carrillo-lipman"));
+        let (cells, fallback, _) = kernel("fallback");
+        assert_eq!((cells, fallback.as_deref()), (wide_cube, Some("full")));
+        // A pinned dense lattice reports its planned cells, no fallback.
+        assert_eq!(kernel("pinned"), (cube, None, Some("full".into())));
+    }
+
+    #[test]
     fn governor_rejects_pinned_overbudget_algorithm() {
         let engine = Engine::start(ServiceConfig {
             memory_budget: Some(64 * 1024),
@@ -1618,8 +1670,9 @@ mod tests {
             memory_budget: Some(1024 * 1024),
             ..small_config()
         });
-        // Auto resolves to FullDp (full lattice, ≈16.7 MB — over the
-        // 1 MiB budget); the ladder lands on Hirschberg (≈0.6 MB).
+        // Auto resolves to the pruned sweep, which prices the full lattice
+        // it may fall back to (≈16.7 MB — over the 1 MiB budget); the
+        // ladder lands on Hirschberg (≈0.6 MB).
         let long = Seq::dna("ACGTACGTGA".repeat(16)).unwrap();
         let outcome = engine
             .submit(AlignRequest::new("auto", long.clone(), long.clone(), long))
@@ -1627,7 +1680,7 @@ mod tests {
             .wait();
         let result = outcome.result().expect("degraded job still completes");
         assert_eq!(result.algorithm, Algorithm::Hirschberg);
-        assert_eq!(result.degraded_from, Some(Algorithm::FullDp));
+        assert_eq!(result.degraded_from, Some(Algorithm::CarrilloLipman));
         let stats = engine.shutdown();
         assert_eq!(stats.downgraded, 1);
         assert_eq!(stats.completed, 1);

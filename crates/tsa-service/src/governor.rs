@@ -206,7 +206,9 @@ mod tests {
     fn ladder_starts_at_resolved_and_ends_quadratic() {
         let [resolved, dc] = ladder(Aligner::new(), [100, 100, 100], false);
         assert_eq!(resolved, Aligner::new().plan(100, 100, 100, false));
-        assert_eq!(resolved.algorithm, Algorithm::FullDp);
+        // The pruned sweep, priced at the dense lattice it may fall back to.
+        assert_eq!(resolved.algorithm, Algorithm::CarrilloLipman);
+        assert_eq!(resolved.peak_bytes, 4 * 101 * 101 * 101);
         assert_eq!(dc.algorithm, Algorithm::Hirschberg);
         assert_eq!(dc.cells, 2 * resolved.cells);
         assert!(dc.peak_bytes < resolved.peak_bytes / 10);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsa_core::{
     Algorithm, AlignError, Aligner, Alignment3, CancelProgress, CancelToken, CheckpointConfig,
-    DurableStop, FrontierSnapshot, SimdKernel,
+    DurableStop, FrontierSnapshot, Run, SimdKernel,
 };
 use tsa_obs::Span;
 use tsa_scoring::Scoring;
@@ -414,7 +414,7 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
             .then(|| (d.handle.sink_for(&d.uid), Arc::clone(&d.handle)))
     });
     let resume = job.durable.as_mut().and_then(|d| d.resume.take());
-    let kernel = || -> Result<(i32, Option<Alignment3>), KernelErr> {
+    let kernel = || -> Result<Run, KernelErr> {
         if faults::wants_panic(&tag) {
             panic!("injected kernel panic");
         }
@@ -440,23 +440,24 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
                 Err(DurableStop::InvalidResume(_)) => run(None),
                 other => other,
             };
-            result.map(|score| (score, None)).map_err(KernelErr::Stop)
-        } else if job.score_only {
-            aligner
-                .score3_cancellable(&job.a, &job.b, &job.c, &cancel)
-                .map(|score| (score, None))
-                .map_err(KernelErr::Align)
+            let planned = |score| Run {
+                score,
+                alignment: None,
+                cells: plan.cells,
+                fallback: None,
+            };
+            result.map(planned).map_err(KernelErr::Stop)
         } else {
             aligner
-                .align3_cancellable(&job.a, &job.b, &job.c, &cancel)
-                .map(|aln| (aln.score, Some(aln)))
+                .run_cancellable(&job.a, &job.b, &job.c, job.score_only, &cancel)
                 .map_err(KernelErr::Align)
         }
     };
     // The row kernel this job actually runs: served jobs always run
     // `Auto`, resolved against this CPU. Only a plan with a sweep order —
     // a score-only job's slab, plane or tile order, a `full` or
-    // `tile-wavefront` alignment's lattice, or a Hirschberg alignment's
+    // `tile-wavefront` alignment's lattice, a `carrillo-lipman` run's
+    // kept intervals (or its dense fallback), or a Hirschberg alignment's
     // face sweeps — has SIMD rows; every other path runs scalar cells.
     let simd = match plan.order {
         Some(_) => SimdKernel::Auto.resolve(),
@@ -474,7 +475,17 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     let computed = std::panic::catch_unwind(AssertUnwindSafe(kernel));
     stats.record_kernel(kernel_started.elapsed());
     let computed = match computed {
-        Ok(result) => result,
+        Ok(result) => {
+            // What the run computed: the kept cells of a pruned run, the
+            // whole lattice after its fallback, else the plan's cells.
+            if let (Some(s), Ok(run)) = (kernel_span.as_mut(), &result) {
+                s.annotate("cells", run.cells);
+                if let Some(dense) = run.fallback {
+                    s.annotate("fallback", dense.name());
+                }
+            }
+            result
+        }
         Err(payload) => {
             stats.panics.inc();
             stats.failed.inc();
@@ -489,8 +500,10 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     };
     drop(kernel_span);
 
-    let (score, alignment) = match computed {
-        Ok(r) => r,
+    let Run {
+        score, alignment, ..
+    } = match computed {
+        Ok(run) => run,
         // The cancellation token stopped the DP loop between planes.
         Err(KernelErr::Align(AlignError::Cancelled(progress)))
         | Err(KernelErr::Stop(DurableStop::Cancelled(progress))) => {

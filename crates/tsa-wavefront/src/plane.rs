@@ -48,13 +48,13 @@ impl Extents {
         (i * (self.n2 + 1) + j) * (self.n3 + 1) + k
     }
 
-    /// Number of cells on plane `d`.
+    /// Number of cells on plane `d`: the lengths of its rows, `O(n1)`.
     pub fn plane_len(&self, d: usize) -> usize {
-        plane_cells(*self, d).count()
+        plane_rows(*self, d).map(|(_, lo, hi)| hi - lo + 1).sum()
     }
 
     /// The largest plane size — the maximum available parallelism of the
-    /// cell-level wavefront.
+    /// cell-level wavefront. `O(n1 · (n1 + n2 + n3))`.
     pub fn max_plane_len(&self) -> usize {
         (0..self.num_planes())
             .map(|d| self.plane_len(d))
@@ -243,6 +243,20 @@ mod tests {
         assert_eq!(e.max_plane_len(), mid);
         // A plane of a cube d=3n/2 has ~3n²/4 cells; exact check by sum.
         assert_eq!((0..e.num_planes()).map(|d| e.plane_len(d)).max(), Some(mid));
+    }
+
+    #[test]
+    fn plane_len_sums_rows_like_the_enumeration() {
+        for (n1, n2, n3) in [(0, 5, 9), (1, 1, 1), (3, 7, 2), (9, 120, 30)] {
+            let e = Extents::new(n1, n2, n3);
+            for d in 0..e.num_planes() + 2 {
+                assert_eq!(
+                    e.plane_len(d),
+                    plane_cells(e, d).count(),
+                    "({n1},{n2},{n3}) plane {d}"
+                );
+            }
+        }
     }
 
     #[test]

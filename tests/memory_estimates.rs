@@ -7,14 +7,22 @@
 //! allowance: sequences, substitution profiles, traceback columns and
 //! thread bookkeeping, none of which the plans price.
 //!
+//! Carrillo–Lipman (what `auto` alignments run) plans the dense lattice
+//! it falls back to when its bound keeps more than the break-even share.
+//! A run that fell back holds that lattice and meets the same rule. A run
+//! that stayed pruned must hold far less: at most the upper bound, and
+//! under a quarter of the plan. Family triples at 64³ and 200³ check the
+//! saving; every random shape's path is asserted.
+//!
 //! The allocator counts every thread of the process, so this file holds a
 //! single `#[test]`: nothing else runs while a peak is measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use three_seq_align::core::{Algorithm, Aligner};
+use three_seq_align::core::{Algorithm, Aligner, CancelToken, Run};
 use three_seq_align::scoring::GapModel;
+use three_seq_align::seq::family::FamilyConfig;
 use three_seq_align::seq::gen::random_seq_seeded;
 use three_seq_align::seq::{Alphabet, Seq};
 
@@ -114,34 +122,65 @@ fn measured_peaks_lie_within_the_governor_estimates() {
         .gap(GapModel::affine(-4, -1))
         .algorithm(Algorithm::AffineDp);
     let aligners: Vec<&Aligner> = linear.iter().chain([&affine]).collect();
+    let never = CancelToken::never();
     let mut outside = Vec::new();
-    for (n, seed) in [([20, 600, 600], 1), ([64, 64, 64], 2), ([9, 120, 30], 3)] {
-        let [a, b, c]: [Seq; 3] =
-            std::array::from_fn(|m| random_seq_seeded(Alphabet::Dna, n[m], seed * 10 + m as u64));
-        let [n1, n2, n3] = n;
+    let random = |n: [usize; 3], seed: u64| -> [Seq; 3] {
+        std::array::from_fn(|m| random_seq_seeded(Alphabet::Dna, n[m], seed * 10 + m as u64))
+    };
+    let family = |n: usize, seed: u64| FamilyConfig::new(n, 0.15, 0.05).generate(seed).members;
+    // (triple, whether Carrillo–Lipman falls back on it, random shape).
+    let triples = [
+        (random([20, 600, 600], 1), false, true),
+        (random([64, 64, 64], 2), false, true),
+        (random([9, 120, 30], 3), true, true),
+        (family(64, 4), false, false),
+        (family(200, 5), false, false),
+    ];
+    for ([a, b, c], falls_back, is_random) in &triples {
+        let [n1, n2, n3] = [a.len(), b.len(), c.len()];
+        let n = [n1, n2, n3];
         for aligner in &aligners {
             for score_only in [false, true] {
                 let plan = aligner.plan(n1, n2, n3, score_only);
-                // The affine DP's seven-state lattice skips the first
-                // shape: 212 MB and half a minute in a debug build.
-                if n1 == 20 && plan.algorithm == Algorithm::AffineDp {
+                let pruned_plan = plan.algorithm == Algorithm::CarrilloLipman;
+                // Family triples check the pruned plans only. The affine
+                // DP's seven-state lattice skips the first shape: 212 MB
+                // and half a minute in a debug build.
+                if (!is_random && !pruned_plan)
+                    || (n1 == 20 && plan.algorithm == Algorithm::AffineDp)
+                {
                     continue;
                 }
                 let estimate = plan.peak_bytes as usize;
-                let run = || {
-                    pool.install(|| match score_only {
-                        true => aligner.score3(&a, &b, &c).map(|_| None),
-                        false => aligner.align3(&a, &b, &c).map(Some),
-                    })
-                    .unwrap()
-                };
-                let measured = peak_of(run);
+                let mut ran: Option<Run> = None;
+                let measured = peak_of(|| {
+                    let run = pool.install(|| aligner.run_cancellable(a, b, c, score_only, &never));
+                    ran = Some(run.unwrap());
+                });
+                let ran = ran.expect("the run finished");
                 let upper = estimate + allowance(n);
-                if measured < estimate / 2 || measured > upper {
+                let at = format!("{plan:?} on {n1}×{n2}×{n3}");
+                if pruned_plan {
+                    assert_eq!(ran.fallback.is_some(), *falls_back, "{at}: the path taken");
+                }
+                let bounds = if pruned_plan && ran.fallback.is_none() {
+                    // The kept share, reported for every run that stays
+                    // pruned (random shapes included).
+                    eprintln!(
+                        "{at}: pruned, kept {:.1}% of the cube, peak {measured} B ({:.1}% of \
+                         the plan)",
+                        100.0 * ran.cells as f64 / plan.cells as f64,
+                        100.0 * measured as f64 / estimate as f64,
+                    );
+                    (0, upper.min(estimate / 4))
+                } else {
+                    (estimate / 2, upper)
+                };
+                if measured < bounds.0 || measured > bounds.1 {
                     outside.push(format!(
-                        "{plan:?} on {n1}×{n2}×{n3}: measured peak {measured} B outside \
-                         [{}, {upper}] around the plan's {estimate} B",
-                        estimate / 2,
+                        "{at}: measured peak {measured} B outside [{}, {}] around the plan's \
+                         {estimate} B",
+                        bounds.0, bounds.1,
                     ));
                 }
             }

@@ -30,9 +30,10 @@ fn all_variants_agree_at_n128() {
     let dc = hirschberg3::align(&a, &b, &c, &scoring, true, SimdKernel::Auto, &never).unwrap();
     assert_eq!(dc.score, reference);
     dc.validate_scored(&a, &b, &c, &scoring).unwrap();
-    let (cl, stats) = carrillo_lipman::align_score_with_stats(&a, &b, &c, &scoring);
+    let (cl, pruning) =
+        carrillo_lipman::score(&a, &b, &c, &scoring, SimdKernel::Auto, &never).unwrap();
     assert_eq!(cl, reference);
-    assert!(stats.visited_fraction() < 0.5);
+    assert!(!pruning.fallback());
 }
 
 #[test]
