@@ -5,13 +5,20 @@
 //! bytes (kept cells plus 12-byte row spans) against the dense lattice's,
 //! and the pruned alignment's wall time against the dense SIMD slab
 //! lattice (`Aligner` `full`, `auto` kernel), both with the traceback. A
-//! run whose store would pass the fallback share stops building its
-//! intervals there, so its kept share and store read `-`. The more similar the sequences, the
-//! tighter the center-star lower bound and the pairwise-projection upper
-//! bounds — and the thinner the kept tube around the optimal path. Every
-//! row asserts column-for-column equality with `full`. The last two rows
-//! are unrelated triples: a cube, which still prunes, and a lopsided
-//! shape whose bound keeps 36% of the cube, which takes the fallback.
+//! run whose store would pass the fallback share, or a thin cube, falls
+//! back to the dense lattice, so its kept share and store read `-`. The
+//! more similar the sequences, the tighter the center-star lower bound and
+//! the pairwise-projection upper bounds — and the thinner the kept tube
+//! around the optimal path. Every row asserts column-for-column equality
+//! with `full`. The last two rows
+//! are unrelated triples: a cube, which still prunes, and a lopsided thin
+//! cube, whose bounds would cost a large share of it, which takes the
+//! fallback at once.
+//!
+//! A second table runs the same triples score-only: the pruned score
+//! sweep (the same bounds, two rolling sparse slabs, or the slab sweep
+//! past its break-even) against the slab score sweep `auto` ran before
+//! (`Aligner` `full`, score-only), asserting equal scores.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
 use tsa_core::{carrillo_lipman, Algorithm, Aligner, CancelToken, SimdKernel};
@@ -86,9 +93,46 @@ pub fn run(cfg: &RunConfig) {
         ]);
     }
     println!(
-        "  (n={n}; pruned time includes the center-star seed and the six pairwise DP matrices; \
+        "  (n={n}; pruned time includes the center-star seed and the eight pairwise DP fills; \
          fallback once the store passes {:.0}% of the lattice's bytes)",
         100.0 * carrillo_lipman::FALLBACK_SHARE
     );
     t.print();
+
+    let mut scores = Table::new(
+        &[
+            "sub_rate",
+            "kept_pct",
+            "fallback",
+            "slab_ms",
+            "pruned_ms",
+            "pruned_over_slab",
+            "score_equal",
+        ],
+        cfg.csv,
+    );
+    for (label, [a, b, c]) in &rows {
+        let (want, t_slab) = timing::best_of(cfg.reps(), || dense.score3(a, b, c).unwrap());
+        let ((got, pruning), t_pruned) = timing::best_of(cfg.reps(), || {
+            carrillo_lipman::score(a, b, c, &scoring, SimdKernel::Auto, &never).unwrap()
+        });
+        assert_eq!(got, want, "pruning changed the score at {label}");
+        scores.row(vec![
+            label.clone(),
+            pruning.kept.map_or("-".into(), |kept| {
+                format!("{:.2}", 100.0 * kept as f64 / pruning.cube as f64)
+            }),
+            if pruning.fallback() { "slabs" } else { "-" }.into(),
+            timing::fmt_ms(t_slab),
+            timing::fmt_ms(t_pruned),
+            format!("{:.2}", t_pruned.as_secs_f64() / t_slab.as_secs_f64()),
+            "true".into(),
+        ]);
+    }
+    println!(
+        "  score-only (two rolling sparse slabs against the slab score sweep; \
+         fallback past {:.0}% of the cube kept)",
+        100.0 * carrillo_lipman::SCORE_SHARE
+    );
+    scores.print();
 }

@@ -3,6 +3,7 @@
 use crate::args::{
     AlignArgs, BatchArgs, Command, GenArgs, MsaArgs, PlanArgs, ServeArgs, TraceArgs, USAGE,
 };
+use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsa_core::sweep::Order;
@@ -13,11 +14,39 @@ use tsa_seq::family::FamilyConfig;
 use tsa_seq::{fasta, Alphabet, Seq};
 use tsa_service::{Engine, FlightRecorder, RecorderConfig, ServiceConfig};
 
-/// Execute a parsed command.
-pub fn run(cmd: Command) -> Result<(), String> {
+/// Why a command stopped short: a message for stderr, or standard output
+/// closed under it (`tsa align ... | head`), which ends the command
+/// quietly with status 0.
+#[derive(Debug)]
+pub enum Failure {
+    /// An error to report.
+    Message(String),
+    /// Standard output is gone: nothing left to say, and no one to say it
+    /// to.
+    StdoutClosed,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Failure::StdoutClosed,
+            _ => Failure::Message(format!("stdout: {e}")),
+        }
+    }
+}
+
+/// Execute a parsed command. The verbs that print to standard output
+/// write through one locked handle each.
+pub fn run(cmd: Command) -> Result<(), Failure> {
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            writeln!(std::io::stdout().lock(), "{USAGE}")?;
             Ok(())
         }
         Command::Gen(g) => run_gen(g),
@@ -25,11 +54,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
         Command::Plan(p) => run_plan(p),
         Command::Msa(m) => run_msa(m),
         Command::Info { file } => run_info(&file),
-        Command::Serve(s) => run_serve(s),
-        Command::Batch(b) => run_batch(b),
-        Command::Cluster(c) => crate::cluster::run_cluster(c),
+        Command::Serve(s) => Ok(run_serve(s)?),
+        Command::Batch(b) => Ok(run_batch(b)?),
+        Command::Cluster(c) => Ok(crate::cluster::run_cluster(c)?),
         Command::Trace(t) => run_trace(t),
-        Command::Chaos(c) => crate::chaos::run_chaos(c),
+        Command::Chaos(c) => Ok(crate::chaos::run_chaos(c)?),
     }
 }
 
@@ -68,7 +97,6 @@ fn engine_config(opts: &crate::args::ServiceOpts) -> ServiceConfig {
 /// `tsa serve 2>&1 | head`), and a notice must never turn a clean drain
 /// into a crash or a hung server.
 fn notice(line: std::fmt::Arguments<'_>) {
-    use std::io::Write;
     let _ = writeln!(std::io::stderr(), "{line}");
 }
 
@@ -303,8 +331,9 @@ pub fn report_flagged(flagged: &[tsa_service::FlaggedJob]) {
 
 /// `tsa trace` — query a running server's (or cluster front door's)
 /// flight recorder and render the stitched trace trees.
-fn run_trace(t: TraceArgs) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
+fn run_trace(t: TraceArgs) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
+    use std::io::{BufRead, BufReader};
     use tsa_service::json::Value;
 
     let stream =
@@ -323,13 +352,10 @@ fn run_trace(t: TraceArgs) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", t.connect))?;
     let line = line.trim();
     if line.is_empty() {
-        return Err(format!(
-            "{}: connection closed without a response",
-            t.connect
-        ));
+        return Err(format!("{}: connection closed without a response", t.connect).into());
     }
     if t.json {
-        println!("{line}");
+        writeln!(out, "{line}")?;
         return Ok(());
     }
     let value = Value::parse(line).map_err(|e| format!("unparseable trace response: {e}"))?;
@@ -338,26 +364,30 @@ fn run_trace(t: TraceArgs) -> Result<(), String> {
             .get("message")
             .and_then(Value::as_str)
             .unwrap_or("trace query refused");
-        return Err(message.to_string());
+        return Err(message.to_string().into());
     }
     let trees = tsa_service::protocol::parse_trace_trees(&value);
     if trees.is_empty() {
         match &t.id {
-            Some(id) => println!("no trace {id} (evicted, sampled out, or never recorded)"),
-            None => println!("no notable traces recorded yet"),
+            Some(id) => writeln!(
+                out,
+                "no trace {id} (evicted, sampled out, or never recorded)"
+            )?,
+            None => writeln!(out, "no notable traces recorded yet")?,
         }
         return Ok(());
     }
     for tree in &trees {
-        print!("{}", tsa_service::render_tree(tree));
+        write!(out, "{}", tsa_service::render_tree(tree))?;
     }
     Ok(())
 }
 
-fn run_info(file: &str) -> Result<(), String> {
+fn run_info(file: &str) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
     let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let seqs = fasta::parse_auto(&text).map_err(|e| format!("{file}: {e}"))?;
-    println!("# {} record(s) in {file}", seqs.len());
+    writeln!(out, "# {} record(s) in {file}", seqs.len())?;
     for seq in &seqs {
         let st = tsa_seq::stats::seq_stats(seq);
         let comp: Vec<String> = st
@@ -370,7 +400,8 @@ fn run_info(file: &str) -> Result<(), String> {
             .gc
             .map(|g| format!("{:.1}%", g * 100.0))
             .unwrap_or_else(|| "-".into());
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>8} nt/aa  {:<8}  GC {:>6}  H {:>5.2} bits  [{}]",
             seq.id(),
             st.len,
@@ -378,16 +409,17 @@ fn run_info(file: &str) -> Result<(), String> {
             gc,
             st.entropy_bits,
             comp.join(" ")
-        );
+        )?;
     }
     Ok(())
 }
 
-fn run_msa(m: MsaArgs) -> Result<(), String> {
+fn run_msa(m: MsaArgs) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
     let text = std::fs::read_to_string(&m.file).map_err(|e| format!("{}: {e}", m.file))?;
     let seqs = fasta::parse_auto(&text).map_err(|e| format!("{}: {e}", m.file))?;
     if seqs.is_empty() {
-        return Err(format!("{}: no FASTA records", m.file));
+        return Err(format!("{}: no FASTA records", m.file).into());
     }
     let mut scoring = tsa_scoring::Scoring::by_name(&m.scoring)
         .ok_or_else(|| format!("unknown scoring `{}`", m.scoring))?;
@@ -397,7 +429,7 @@ fn run_msa(m: MsaArgs) -> Result<(), String> {
     let guide = match m.guide.as_str() {
         "upgma" => tsa_msa::GuideMethod::Upgma,
         "nj" => tsa_msa::GuideMethod::NeighborJoining,
-        other => return Err(format!("unknown guide method `{other}` (use upgma | nj)")),
+        other => return Err(format!("unknown guide method `{other}` (use upgma | nj)").into()),
     };
     let mut msa = tsa_msa::MsaBuilder::new()
         .scoring(scoring.clone())
@@ -408,48 +440,56 @@ fn run_msa(m: MsaArgs) -> Result<(), String> {
     if m.refine > 0 {
         let refined = tsa_msa::refine::refine(&msa, &scoring, m.refine);
         if refined.accepted > 0 {
-            println!(
+            writeln!(
+                out,
                 "# refinement: +{} SP over {} accepted step(s), {} sweep(s)",
                 refined.msa.sp_score - refined.initial_score,
                 refined.accepted,
                 refined.sweeps
-            );
+            )?;
         }
         msa = refined.msa;
     }
     msa.validate(&seqs).map_err(|e| format!("internal: {e}"))?;
-    println!("# sequences: {}", seqs.len());
-    println!("# columns: {}", msa.len());
-    println!("# SP score: {}", msa.sp_score);
+    writeln!(out, "# sequences: {}", seqs.len())?;
+    writeln!(out, "# columns: {}", msa.len())?;
+    writeln!(out, "# SP score: {}", msa.sp_score)?;
     for (seq, row) in seqs.iter().zip(&msa.rows) {
-        println!(">{}", seq.id());
+        writeln!(out, ">{}", seq.id())?;
         let body: String = row
             .iter()
             .map(|r| r.map(char::from).unwrap_or('-'))
             .collect();
-        println!("{body}");
+        writeln!(out, "{body}")?;
     }
     Ok(())
 }
 
-fn run_plan(p: PlanArgs) -> Result<(), String> {
+fn run_plan(p: PlanArgs) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
     let (n1, n2, n3) = p.n;
     let profile = planes::plane_profile(n1, n2, n3);
     let cells: usize = profile.iter().sum();
-    println!(
+    writeln!(
+        out,
         "lattice {n1}×{n2}×{n3}: {cells} cells, {} planes",
         profile.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "max plane {} cells; mean parallelism {:.0}",
         profile.iter().max().unwrap_or(&0),
         model::speedup_cap(&profile)
-    );
-    println!("\nplans (dna scoring, 4 GiB lattice budget; affine under an affine gap):");
-    println!(
+    )?;
+    writeln!(
+        out,
+        "\nplans (dna scoring, 4 GiB lattice budget; affine under an affine gap):"
+    )?;
+    writeln!(
+        out,
         "  {:<16} {:<6} {:<16} {:<7} {:<10} {:>14} {:>14}",
         "algorithm", "job", "runs", "sweep", "checkpoint", "cells", "peak_bytes"
-    );
+    )?;
     let algorithms = [
         Algorithm::Auto,
         Algorithm::FullDp,
@@ -481,7 +521,8 @@ fn run_plan(p: PlanArgs) -> Result<(), String> {
                 Some(KernelKind::Planes) => "planes",
                 None => "-",
             };
-            println!(
+            writeln!(
+                out,
                 "  {:<16} {:<6} {:<16} {:<7} {:<10} {:>14} {:>14}",
                 algorithm.name(),
                 if score_only { "score" } else { "align" },
@@ -490,37 +531,41 @@ fn run_plan(p: PlanArgs) -> Result<(), String> {
                 checkpoint,
                 plan.cells,
                 plan.peak_bytes
-            );
+            )?;
         }
     }
     let m = CostModel::ideal(p.t_cell_ns);
     let eth = ClusterModel::ethernet(p.t_cell_ns);
-    println!(
+    writeln!(
+        out,
         "\npredicted speedup (t_cell {} ns, tile {} for the cluster column):",
         p.t_cell_ns, p.tile
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>4} {:>14} {:>16}",
         "P", "shared-memory", "ethernet-cluster"
-    );
+    )?;
     for workers in [1usize, 2, 4, 8, 16, 32] {
-        println!(
+        writeln!(
+            out,
             "{workers:>4} {:>14.2} {:>16.2}",
             m.predict_speedup(&profile, workers),
             eth.predict_speedup((n1, n2, n3), p.tile, workers)
-        );
+        )?;
     }
     Ok(())
 }
 
-fn run_gen(g: GenArgs) -> Result<(), String> {
+fn run_gen(g: GenArgs) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
     let cfg = if g.protein {
         FamilyConfig::protein(g.len, g.sub, g.indel)
     } else {
         FamilyConfig::new(g.len, g.sub, g.indel)
     };
     let fam = cfg.try_generate(g.seed).map_err(|e| e.to_string())?;
-    print!("{}", fasta::emit(&fam.members, 60));
+    write!(out, "{}", fasta::emit(&fam.members, 60))?;
     Ok(())
 }
 
@@ -550,7 +595,8 @@ fn load_inputs(a: &AlignArgs) -> Result<(Seq, Seq, Seq), String> {
     ))
 }
 
-fn run_align(args: AlignArgs) -> Result<(), String> {
+fn run_align(args: AlignArgs) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
     let scoring = args.build_scoring()?;
     let algorithm = args.build_algorithm()?;
     let kernel = args.build_kernel()?;
@@ -572,7 +618,7 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
     // traceback machinery and keep their own inner loops.
     if args.score_only && !args.profile_planes {
         let score = aligner.score3(&a, &b, &c).map_err(|e| e.to_string())?;
-        println!("{score}");
+        writeln!(out, "{score}")?;
         return Ok(());
     }
 
@@ -581,7 +627,9 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
     // back to, for `--stats`.
     let (aln, cells, fallback) = if args.profile_planes {
         if scoring.gap.linear_penalty().is_none() {
-            return Err("--profile-planes requires a linear gap model".into());
+            return Err(Failure::Message(
+                "--profile-planes requires a linear gap model".into(),
+            ));
         }
         let (lattice, profile) = tsa_core::wavefront::fill_profiled(&a, &b, &c, &scoring);
         let aln = tsa_core::full::traceback(&lattice, &a, &b, &c, &scoring);
@@ -608,70 +656,74 @@ fn run_align(args: AlignArgs) -> Result<(), String> {
         .map_err(|e| format!("internal: {e}"))?;
 
     if args.score_only {
-        println!("{}", aln.score);
+        writeln!(out, "{}", aln.score)?;
         return Ok(());
     }
 
-    println!("# score: {}", aln.score);
+    writeln!(out, "# score: {}", aln.score)?;
     if args.profile_planes {
-        println!("# algorithm: Wavefront (forced by --profile-planes)");
+        writeln!(out, "# algorithm: Wavefront (forced by --profile-planes)")?;
     } else {
-        println!(
+        writeln!(
+            out,
             "# algorithm: {:?} (resolved from {:?})",
             aligner.resolve(a.len(), b.len(), c.len()),
             algorithm
-        );
+        )?;
     }
-    println!("# lengths: {} {} {}", a.len(), b.len(), c.len());
+    writeln!(out, "# lengths: {} {} {}", a.len(), b.len(), c.len())?;
     if args.stats {
         if scoring.gap.linear_penalty().is_some() {
             let br = bounds::bounds(&a, &b, &c, &scoring);
-            println!(
+            writeln!(
+                out,
                 "# bounds: center-star {} ≤ score ≤ pairwise-sum {}",
                 br.lower, br.upper
-            );
+            )?;
         }
         let cube = (a.len() + 1) * (b.len() + 1) * (c.len() + 1);
-        println!("# cells: {cells} of the lattice's {cube}");
-        println!("# fallback: {}", fallback.map_or("none", |f| f.name()));
+        writeln!(out, "# cells: {cells} of the lattice's {cube}")?;
+        writeln!(out, "# fallback: {}", fallback.map_or("none", |f| f.name()))?;
         let st = tsa_core::stats::alignment_stats(&aln);
-        println!("# columns: {}", st.columns);
-        println!("# full-match columns: {}", st.full_match_columns);
-        println!(
+        writeln!(out, "# columns: {}", st.columns)?;
+        writeln!(out, "# full-match columns: {}", st.full_match_columns)?;
+        writeln!(
+            out,
             "# gapped columns: {} ({} gap chars)",
             st.gapped_columns, st.total_gaps
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "# pairwise identity: AB {:.2} AC {:.2} BC {:.2} (mean {:.2})",
             st.pairwise_identity[0],
             st.pairwise_identity[1],
             st.pairwise_identity[2],
             st.mean_identity
-        );
-        println!("# time: {:.3} ms", elapsed.as_secs_f64() * 1e3);
+        )?;
+        writeln!(out, "# time: {:.3} ms", elapsed.as_secs_f64() * 1e3)?;
     }
     let ids = [a.id(), b.id(), c.id()];
     match args.format.as_str() {
-        "fasta" => print!("{}", format::to_aligned_fasta(&aln, ids, args.width)),
-        "clustal" => print!("{}", format::to_clustal(&aln, ids, args.width)),
+        "fasta" => write!(out, "{}", format::to_aligned_fasta(&aln, ids, args.width))?,
+        "clustal" => write!(out, "{}", format::to_clustal(&aln, ids, args.width))?,
         "plain" => {
             let rows = aln.rows();
             for (id, row) in ids.iter().zip(&rows) {
-                println!(">{id}");
+                writeln!(out, ">{id}")?;
                 let text: String = row
                     .iter()
                     .map(|r| r.map(char::from).unwrap_or('-'))
                     .collect();
                 if args.width == 0 {
-                    println!("{text}");
+                    writeln!(out, "{text}")?;
                 } else {
                     for chunk in text.as_bytes().chunks(args.width) {
-                        println!("{}", std::str::from_utf8(chunk).expect("ascii"));
+                        writeln!(out, "{}", std::str::from_utf8(chunk).expect("ascii"))?;
                     }
                 }
             }
         }
-        other => return Err(format!("unknown format `{other}`")),
+        other => return Err(format!("unknown format `{other}`").into()),
     }
     Ok(())
 }

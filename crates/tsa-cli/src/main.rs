@@ -20,8 +20,8 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
         Ok(cmd) => match commands::run(cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
+            Ok(()) | Err(commands::Failure::StdoutClosed) => ExitCode::SUCCESS,
+            Err(commands::Failure::Message(e)) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE
             }

@@ -151,8 +151,8 @@ fn align_stats_report_cells_computed_and_fallback() {
     let (cells, fallback, cube) = cells_and_fallback(&stdout);
     assert!(cells < cube / 4, "{cells} of {cube}");
     assert_eq!(fallback, "none");
-    // An unrelated 48×8×64 triple whose bound keeps 36% of the lattice,
-    // past the break-even share: the dense lattice runs.
+    // An unrelated 48×8×64 triple, a thin cube (the bounds' pairwise cells
+    // are 42% of the lattice): the dense lattice runs at once.
     let (stdout, stderr, ok) = run(&[
         "align",
         "--a",
@@ -191,11 +191,20 @@ fn plan_subcommand_prints_model() {
     assert!(ok);
     assert!(stdout.contains("lattice 64×64×64"));
     // One plan line per algorithm and job kind: a default score job runs
-    // the full DP's slab sweep and checkpoints as slabs; a default
+    // the pruned sweep over two rolling sparse slabs, priced at (and
+    // checkpointing as) the slab sweep it may fall back to; a default
     // alignment runs the pruned slab sweep, priced at the dense lattice it
     // may fall back to.
     for want in [
-        ["auto", "score", "full", "slabs", "slabs", "274625", "33800"],
+        [
+            "auto",
+            "score",
+            "carrillo-lipman",
+            "slabs",
+            "slabs",
+            "274625",
+            "33800",
+        ],
         [
             "auto",
             "align",
@@ -267,4 +276,76 @@ fn stdin_is_not_consumed_accidentally() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "18");
+}
+
+/// Every verb that prints to standard output ends quietly, with status 0
+/// and nothing on stderr, when its standard output is closed: the reading
+/// end of a socket pair is shut before the command starts, so its first
+/// write fails with a broken pipe (`tsa align ... | head`, early).
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_every_printing_verb_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+
+    let dir = std::env::temp_dir().join("tsa-cli-e2e");
+    std::fs::create_dir_all(&dir).unwrap();
+    let family = dir.join("closed-stdout.fa");
+    let (fasta, _, ok) = run(&["gen", "--len", "60", "--seed", "7"]);
+    assert!(ok);
+    std::fs::write(&family, &fasta).unwrap();
+    let family = family.to_str().unwrap();
+
+    // A server whose flight recorder `tsa trace` queries, killed however
+    // the test ends.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+    let mut server = Server(
+        tsa()
+            .args(["serve", "--listen", "127.0.0.1:0", "--flight-recorder", "8"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tsa serve"),
+    );
+    let mut announce = String::new();
+    BufReader::new(server.0.stderr.take().unwrap())
+        .read_line(&mut announce)
+        .expect("read announce line");
+    let addr = announce
+        .trim()
+        .strip_prefix("# tsa serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected first stderr line {announce:?}"))
+        .to_string();
+
+    let verbs: [&[&str]; 8] = [
+        &["help"],
+        &["gen", "--len", "200", "--seed", "3"],
+        &["align", "--file", family, "--stats"],
+        &["align", "--file", family, "--score-only"],
+        &["plan", "--n1", "64", "--n2", "64", "--n3", "64"],
+        &["msa", "--file", family],
+        &["info", "--file", family],
+        &["trace", "--connect", &addr, "--recent", "4"],
+    ];
+    for args in verbs {
+        let (reader, writer) = UnixStream::pair().expect("socket pair");
+        drop(reader);
+        let out = tsa()
+            .args(args)
+            .stdout(Stdio::from(OwnedFd::from(writer)))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
 }

@@ -131,8 +131,13 @@ fn reference_score(a: &str, b: &str, c: &str) -> i64 {
         .unwrap() as i64
 }
 
+/// A score job pinned to `full`: its slab sweep checkpoints every few
+/// slabs. An `auto` score job on this near-identical triple runs the
+/// pruned sweep, which keeps a few hundred cells and writes no snapshot.
 fn submit_line(id: &str, (a, b, c): &(String, String, String)) -> String {
-    format!(r#"{{"op":"submit","id":"{id}","a":"{a}","b":"{b}","c":"{c}","score_only":true}}"#)
+    format!(
+        r#"{{"op":"submit","id":"{id}","a":"{a}","b":"{b}","c":"{c}","score_only":true,"algorithm":"full"}}"#
+    )
 }
 
 /// Block until the first checkpoint snapshot lands in `dir/checkpoints`,

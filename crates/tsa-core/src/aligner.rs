@@ -22,9 +22,10 @@ pub enum Algorithm {
     /// the memory budget, and Carrillo–Lipman's pruned slab sweep
     /// otherwise (which fills the dense lattice when the bound prunes
     /// little). Every linear choice runs the aligner's SIMD slab rows.
-    /// Score-only jobs run the slab sweep, or, whatever the budget, the
-    /// plane sweep when its planes hold fewer cells (a third sequence more
-    /// than twice as long as the first).
+    /// Score-only jobs run the same bounds over two rolling sparse slabs
+    /// (the rolling slab sweep when the bound prunes little), or, whatever
+    /// the budget, the plane sweep when its planes hold fewer cells (a
+    /// third sequence more than twice as long as the first).
     Auto,
     /// Sequential full-lattice DP (`O(n³)` time and space): the slab sweep
     /// with every slab kept, under the aligner's row kernel.
@@ -50,10 +51,10 @@ pub enum Algorithm {
     CenterStar,
     /// Carrillo–Lipman bound-pruned DP: the slab sweep over each `(i, j)`
     /// row's kept `k`-interval only, with the canonical traceback of
-    /// `FullDp`. Exact, and far cheaper than the full lattice when the
-    /// sequences are similar; once its sparse store would pass a
-    /// measured share of the dense lattice's bytes it fills the dense
-    /// lattice instead.
+    /// `FullDp`, or over two rolling slabs for a score. Exact, and far
+    /// cheaper than the full lattice when the sequences are similar; past
+    /// a measured break-even it fills the dense lattice (an alignment) or
+    /// runs the rolling slab sweep (a score) instead.
     CarrilloLipman,
     /// Seed–chain–extend heuristic (**not exact**): exact DP only between
     /// shared k-mer anchors. Near-linear for similar sequences.
@@ -160,8 +161,9 @@ pub struct Plan {
     /// algorithms without a sweep.
     pub order: Option<Order>,
     /// The snapshot kind a score-only job checkpoints as through
-    /// [`Aligner::score3_durable`]; `None` when it cannot checkpoint (the
-    /// pruned sweep keeps no rolling frontier), and for every alignment.
+    /// [`Aligner::score3_durable`] (Carrillo–Lipman's only when it falls
+    /// back to the slab sweep: the pruned sweep writes no snapshot);
+    /// `None` when it cannot checkpoint, and for every alignment.
     pub checkpoint: Option<KernelKind>,
     /// Bytes of the `i32` score lattice the run materializes, which
     /// `max_lattice_bytes` caps; `None` when it keeps none.
@@ -288,24 +290,31 @@ impl Aligner {
     /// friends, the service's admission, cache key and recovery, and
     /// `tsa plan`.
     ///
-    /// `Auto` resolves by three rules:
+    /// `Auto` resolves by four rules:
     ///
     /// 1. an affine gap model runs [`Algorithm::AffineDp`];
     /// 2. a score-only job whose four `(n1+1)(n2+1)` planes hold fewer
     ///    cells than two `(n2+1)(n3+1)` slabs (`n3 + 1 > 2(n1 + 1)`) runs
     ///    the plane sweep, [`Algorithm::Wavefront`], whatever the lattice
     ///    budget: the plane sweep holds no lattice;
-    /// 3. otherwise [`Algorithm::Hirschberg`] when the full lattice would
-    ///    exceed `max_lattice_bytes`, else [`Algorithm::FullDp`] for a
-    ///    score-only job and [`Algorithm::CarrilloLipman`] for an
-    ///    alignment.
+    /// 3. any other score-only job runs [`Algorithm::CarrilloLipman`]'s
+    ///    rolling sparse sweep when its bounds phase (one pairwise matrix
+    ///    at a time) fits the slab sweep's two slabs, whatever the lattice
+    ///    budget, and the slab sweep ([`Algorithm::FullDp`], or
+    ///    [`Algorithm::Hirschberg`] over the lattice budget) otherwise;
+    /// 4. an alignment runs [`Algorithm::Hirschberg`] when the full
+    ///    lattice would exceed `max_lattice_bytes`, else
+    ///    [`Algorithm::CarrilloLipman`].
     ///
     /// The pruned sweep computes only the kept intervals of similar
-    /// triples and falls back to the SIMD slab lattice inside the run when
-    /// the bound prunes little, so its plan prices that lattice: the
-    /// budget rule and admission see what the run may hold. The SIMD slab
-    /// lattice beats the per-cell plane wavefront and the slab score sweep
-    /// beats the plane and tile orders on every measured job shape.
+    /// triples and, when the bound prunes little, falls back inside the
+    /// run: an alignment to the SIMD slab lattice, so its plan prices that
+    /// lattice, and a score to the rolling slab sweep, so its plan prices
+    /// (and checkpoints as) that sweep, which bounds every phase of the
+    /// pruned run too. The budget rule and admission see what the run may
+    /// hold. The SIMD slab lattice beats the per-cell plane wavefront and
+    /// the slab score sweep beats the plane and tile orders on every
+    /// measured job shape.
     /// Sequential Hirschberg leaves the other cores to concurrent jobs;
     /// alone on an idle 2-core host the parallel one finishes first from
     /// n = 64 on (`fig2`). Any other algorithm resolves to itself.
@@ -316,6 +325,9 @@ impl Aligner {
         let algorithm = match self.algorithm {
             Algorithm::Auto if self.scoring.gap.linear_penalty().is_none() => Algorithm::AffineDp,
             Algorithm::Auto if score_only && n3 + 1 > 2 * (n1 + 1) => Algorithm::Wavefront,
+            Algorithm::Auto if score_only && carrillo_lipman::fits_slab_sweep(n1, n2, n3) => {
+                Algorithm::CarrilloLipman
+            }
             Algorithm::Auto if lattice > self.max_lattice_bytes => Algorithm::Hirschberg,
             Algorithm::Auto if score_only => Algorithm::FullDp,
             Algorithm::Auto => Algorithm::CarrilloLipman,
@@ -326,8 +338,12 @@ impl Aligner {
         let (order, lattice_bytes, cells, peak_bytes) = match algorithm {
             Algorithm::Auto => unreachable!("Auto resolves above"),
             // Score-only jobs of the sweep algorithms run a rolling sweep:
-            // two `(n2+1)(n3+1)` slabs or four `(n1+1)(n2+1)` planes.
-            Algorithm::FullDp | Algorithm::Hirschberg | Algorithm::ParallelHirschberg
+            // two `(n2+1)(n3+1)` slabs or four `(n1+1)(n2+1)` planes. The
+            // pruned one holds less than the slab sweep it falls back to.
+            Algorithm::FullDp
+            | Algorithm::Hirschberg
+            | Algorithm::ParallelHirschberg
+            | Algorithm::CarrilloLipman
                 if score_only =>
             {
                 let slabs = 2 * (n2 + 1) * (n3 + 1) * CELL;
@@ -337,36 +353,24 @@ impl Aligner {
                 let planes = 4 * (n1 + 1) * (n2 + 1) * CELL;
                 (Some(Order::Planes), None, cube, planes)
             }
-            // The lattice algorithms: the slab loop with every slab kept,
+            // The lattice algorithms: the slab loop with every slab kept
+            // (Carrillo–Lipman's dense fallback, whose lattice is larger
+            // than its bounds' pairwise matrix and caps its sparse store),
             // the tile loop's lattice (score-only jobs too), the per-cell
             // plane fill.
-            Algorithm::FullDp => (Some(Order::Slabs), Some(lattice), cube, lattice),
+            Algorithm::FullDp | Algorithm::CarrilloLipman => {
+                (Some(Order::Slabs), Some(lattice), cube, lattice)
+            }
             Algorithm::TileWavefront { tile } => {
                 (Some(Order::Tiles { tile }), Some(lattice), cube, lattice)
             }
-            // The per-cell fill also lists the cells of its current plane:
-            // at most the product of the two shorter axes, `(i, j, k)` each.
-            Algorithm::Wavefront => {
-                let mut axes = [n1 + 1, n2 + 1, n3 + 1];
-                axes.sort_unstable();
-                let plane_list = axes[0] * axes[1] * std::mem::size_of::<[usize; 3]>();
-                (None, Some(lattice), cube, lattice + plane_list)
-            }
+            Algorithm::Wavefront => (None, Some(lattice), cube, lattice),
             // Slab faces in quadratic space, at most twice the cell updates.
             Algorithm::Hirschberg | Algorithm::ParallelHirschberg => {
                 let parallel = algorithm == Algorithm::ParallelHirschberg;
                 let peak = hirschberg3::peak_bytes(n1, n2, n3, parallel);
                 (Some(Order::Slabs), None, 2 * cube, peak)
             }
-            // Slab rows over the kept intervals, or over the dense lattice
-            // after a fallback: the budget caps that lattice, and the peak
-            // is the larger of the two paths.
-            Algorithm::CarrilloLipman => (
-                Some(Order::Slabs),
-                Some(lattice),
-                cube,
-                carrillo_lipman::peak_bytes(n1, n2, n3),
-            ),
             // Seven gap states per lattice cell. The budget caps only the
             // `i32` score lattice, so this one is priced but not capped.
             Algorithm::AffineDp => (None, None, 7 * cube, 7 * lattice),
@@ -377,11 +381,10 @@ impl Aligner {
                 (None, None, pairwise, rows)
             }
         };
-        let rolling = score_only && algorithm != Algorithm::CarrilloLipman;
         Plan {
             algorithm,
             order,
-            checkpoint: order.filter(|_| rolling).map(Order::checkpoint_kind),
+            checkpoint: order.filter(|_| score_only).map(Order::checkpoint_kind),
             lattice_bytes,
             cells: cells as u64,
             peak_bytes: peak_bytes as u64,
@@ -427,6 +430,12 @@ impl Aligner {
             cells: plan.cells,
             fallback: None,
         };
+        let pruned = |score, alignment, pruning: carrillo_lipman::Pruning| Run {
+            score,
+            alignment,
+            cells: pruning.cells(),
+            fallback: pruning.fallback().then_some(Algorithm::FullDp),
+        };
         if let (Some(order), Some(_)) = (plan.order, plan.checkpoint) {
             let sweep = Sweep {
                 order,
@@ -434,6 +443,10 @@ impl Aligner {
                 cancel: Some(cancel),
                 checkpoint,
             };
+            if algorithm == Algorithm::CarrilloLipman {
+                return carrillo_lipman::score_sweep(a, b, c, s, &sweep)
+                    .map(|(score, pruning)| pruned(score, None, pruning));
+            }
             return sweep.score(a, b, c, s).map(|score| planned(score, None));
         }
         if let Some(snap) = checkpoint.and_then(|ck| ck.resume) {
@@ -443,20 +456,9 @@ impl Aligner {
             }));
         }
         if algorithm == Algorithm::CarrilloLipman {
-            let (score, alignment, pruning) = if score_only {
-                carrillo_lipman::score(a, b, c, s, self.kernel, cancel)
-                    .map(|(score, p)| (score, None, p))
-            } else {
-                carrillo_lipman::align(a, b, c, s, self.kernel, cancel)
-                    .map(|(aln, p)| (aln.score, Some(aln), p))
-            }
-            .map_err(DurableStop::Cancelled)?;
-            return Ok(Run {
-                score,
-                alignment,
-                cells: pruning.cells(),
-                fallback: pruning.fallback().then_some(Algorithm::FullDp),
-            });
+            let (aln, pruning) = carrillo_lipman::align(a, b, c, s, self.kernel, cancel)
+                .map_err(DurableStop::Cancelled)?;
+            return Ok(pruned(aln.score, Some(aln), pruning));
         }
         let traced = |lat: full::Lattice| full::traceback(&lat, a, b, c, s);
         let aln = match algorithm {
@@ -568,11 +570,26 @@ impl Aligner {
         ckpt: &CheckpointConfig<'_>,
         resume: Option<&FrontierSnapshot>,
     ) -> Result<i32, DurableStop> {
+        Ok(self.run_durable(a, b, c, cancel, ckpt, resume)?.score)
+    }
+
+    /// [`Aligner::score3_durable`] with what the run computed: the cells,
+    /// and the slab sweep a pruned score fell back to, as
+    /// [`Aligner::run_cancellable`] reports them.
+    pub fn run_durable(
+        &self,
+        a: &Seq,
+        b: &Seq,
+        c: &Seq,
+        cancel: &CancelToken,
+        ckpt: &CheckpointConfig<'_>,
+        resume: Option<&FrontierSnapshot>,
+    ) -> Result<Run, DurableStop> {
         let checkpoint = Checkpoint {
             config: ckpt,
             resume,
         };
-        Ok(self.run(a, b, c, true, cancel, Some(checkpoint))?.score)
+        self.run(a, b, c, true, cancel, Some(checkpoint))
     }
 }
 
@@ -686,7 +703,7 @@ mod tests {
         assert_eq!(algorithm(&affine, 1, 20_000, 20_000), Algorithm::AffineDp);
         // Rule 2: two (n2+1)(n3+1) slabs against four (n1+1)(n2+1) planes:
         // the slabs win ties, the planes win once n3 + 1 > 2(n1 + 1).
-        assert_eq!(algorithm(&al, 9, 5, 19), Algorithm::FullDp);
+        assert_eq!(algorithm(&al, 9, 5, 19), Algorithm::CarrilloLipman);
         assert_eq!(algorithm(&al, 9, 5, 20), Algorithm::Wavefront);
         // 1×20000×20000: 320 KB of planes instead of 3.2 GB of slabs.
         let lopsided = al.plan(1, 20_000, 20_000, true);
@@ -694,15 +711,24 @@ mod tests {
         assert_eq!(lopsided.checkpoint, Some(KernelKind::Planes));
         assert_eq!(lopsided.order, Some(Order::Planes));
         assert_eq!(lopsided.peak_bytes, 4 * 2 * 20_001 * 4);
-        // Rule 3: an alignment runs the pruned slab sweep whatever the
-        // shape, and a balanced score job the slab score sweep...
+        // Rule 3: a balanced score job runs the pruned rolling sweep,
+        // whose bounds phase holds one pairwise matrix, whatever the
+        // lattice budget; a shape whose largest pairwise matrix passes
+        // the slab sweep's two slabs keeps the slab sweep, or divide and
+        // conquer's (the same sweep) over the lattice budget.
+        assert_eq!(algorithm(&al, 100, 100, 100), Algorithm::CarrilloLipman);
+        assert_eq!(algorithm(&al, 100, 100, 10), Algorithm::FullDp);
+        let small = Aligner::new().max_lattice_bytes(1 << 20);
+        assert_eq!(algorithm(&small, 100, 100, 100), Algorithm::CarrilloLipman);
+        assert_eq!(algorithm(&small, 200, 200, 20), Algorithm::Hirschberg);
+        let pruned = al.plan(100, 100, 100, true);
+        assert_eq!(pruned.lattice_bytes, None);
+        assert_eq!(pruned.checkpoint, Some(KernelKind::Slabs));
+        // Rule 4: an alignment runs the pruned slab sweep whatever the
+        // shape, down to divide and conquer over the lattice budget. The
+        // plane sweep holds no lattice, so the budget does not move rule 2.
         assert_eq!(al.resolve(1, 20_000, 20_000), Algorithm::CarrilloLipman);
         assert_eq!(al.plan(1, 20_000, 20_000, false).order, Some(Order::Slabs));
-        assert_eq!(algorithm(&al, 100, 100, 100), Algorithm::FullDp);
-        // ...down to divide and conquer over the lattice budget. The plane
-        // sweep holds no lattice, so the budget does not move rule 2.
-        let small = Aligner::new().max_lattice_bytes(1 << 20);
-        assert_eq!(algorithm(&small, 100, 100, 100), Algorithm::Hirschberg);
         assert_eq!(small.resolve(100, 100, 100), Algorithm::Hirschberg);
         assert_eq!(algorithm(&small, 10, 300, 3000), Algorithm::Wavefront);
         assert_eq!(
@@ -712,6 +738,7 @@ mod tests {
         // Whatever the shape, a score job holds the smaller of the two.
         for (n1, n2, n3) in [
             (100, 100, 100),
+            (100, 100, 10),
             (9, 5, 19),
             (9, 5, 20),
             (1, 20_000, 20_000),
@@ -748,14 +775,13 @@ mod tests {
         let tiles = Algorithm::TileWavefront { tile: 4 };
         assert_eq!(order(tiles), Some(Order::Tiles { tile: 4 }));
         // The pruned sweep runs slab rows over its intervals (or the dense
-        // lattice), score-only too, but has no rolling frontier to
-        // checkpoint.
+        // lattice); a score checkpoints as the slab sweep it falls back to.
         assert_eq!(order(Algorithm::Auto), Some(Order::Slabs));
         assert_eq!(order(Algorithm::CarrilloLipman), Some(Order::Slabs));
         let cl_score = plan(Algorithm::CarrilloLipman, true);
         assert_eq!(
             (cl_score.order, cl_score.checkpoint),
-            (Some(Order::Slabs), None)
+            (Some(Order::Slabs), Some(KernelKind::Slabs))
         );
         // The per-cell plane fill and the non-sweep algorithms run no
         // SIMD rows.
@@ -796,14 +822,20 @@ mod tests {
         assert_eq!(dc.cells, 2 * cube);
         assert!(dc.peak_bytes < full.peak_bytes);
         assert_eq!(dc.lattice_bytes, None);
-        // Carrillo–Lipman prices the dense lattice it may fall back to,
-        // here larger than its worst pruned run; `Auto` alignments plan
-        // the same.
+        // Carrillo–Lipman prices the dense lattice an alignment may fall
+        // back to, larger than its bounds' pairwise matrix and four times
+        // its sparse store; `Auto` alignments plan the same. A score prices
+        // the slab sweep it falls back to, which bounds the pruned phases.
         let cl = plan(Algorithm::CarrilloLipman, false);
         assert_eq!(cl.lattice_bytes, Some(4 * cube as usize));
         assert_eq!((cl.cells, cl.peak_bytes), (cube, 4 * cube));
         assert_eq!(plan(Algorithm::Auto, false), cl);
-        assert_eq!(plan(Algorithm::CarrilloLipman, true).peak_bytes, 4 * cube);
+        let cl_score = plan(Algorithm::CarrilloLipman, true);
+        let priced_as_slabs = Plan {
+            algorithm: Algorithm::CarrilloLipman,
+            ..slabs
+        };
+        assert_eq!(cl_score, priced_as_slabs);
         // Seven affine states per cell, priced but not capped.
         let affine = Aligner::new()
             .gap(GapModel::affine(-4, -1))
@@ -971,10 +1003,14 @@ mod tests {
             )
         };
         // A family triple: the pruned sweep computes a sliver of the cube,
-        // for `Auto` alignments and pinned score-only jobs alike.
-        let family = family_triple(3, 40);
+        // for `Auto` alignments and score jobs and pinned score jobs alike.
+        let family = family_triple(3, 48);
         let pinned = Aligner::new().algorithm(Algorithm::CarrilloLipman);
-        for (al, score_only) in [(Aligner::new(), false), (pinned, true)] {
+        for (al, score_only) in [
+            (Aligner::new(), false),
+            (Aligner::new(), true),
+            (pinned, true),
+        ] {
             let (plan, pruned) = run(&al, &family, score_only);
             assert_eq!(plan.algorithm, Algorithm::CarrilloLipman);
             assert!(
@@ -986,12 +1022,20 @@ mod tests {
             assert_eq!(pruned.fallback, None);
             assert_eq!(pruned.alignment.is_none(), score_only);
         }
-        // A triple whose bound keeps 36% of the cube: the dense lattice.
+        // A triple whose intervals keep 39% of the cube: the dense
+        // lattice, or the slab score sweep.
         let dna = |n, seed| tsa_seq::gen::random_seq_seeded(tsa_seq::Alphabet::Dna, n, seed);
-        let wide = (dna(48, 9060), dna(8, 19060), dna(64, 29060));
+        let wide = (dna(20, 100), dna(100, 101), dna(40, 102));
         let (plan, dense) = run(&Aligner::new(), &wide, false);
         assert_eq!(dense.cells, plan.cells);
         assert_eq!(dense.fallback, Some(Algorithm::FullDp));
+        let (plan, slabs) = run(&Aligner::new(), &wide, true);
+        assert_eq!(plan.algorithm, Algorithm::CarrilloLipman);
+        assert_eq!(
+            (slabs.cells, slabs.fallback),
+            (plan.cells, Some(Algorithm::FullDp))
+        );
+        assert_eq!(Some(slabs.score), dense.alignment.as_ref().map(|a| a.score));
         let full = Aligner::new().algorithm(Algorithm::FullDp);
         let (plan, reference) = run(&full, &wide, false);
         assert_eq!((reference.cells, reference.fallback), (plan.cells, None));
@@ -1051,6 +1095,8 @@ mod tests {
         // A third sequence over twice the first's length: `Auto` sweeps
         // planes.
         let (lop_a, _, _) = family_triple(32, 3);
+        // A family the pruned score sweep keeps a sliver of: no snapshot.
+        let family = family_triple(33, 48);
         let linear = [
             Algorithm::Auto,
             Algorithm::FullDp,
@@ -1066,13 +1112,22 @@ mod tests {
         let affine = [Algorithm::Auto, Algorithm::AffineDp]
             .map(|alg| Aligner::new().gap(GapModel::affine(-4, -1)).algorithm(alg));
         for al in linear.iter().chain(&affine) {
-            for a in [&a, &lop_a] {
+            for (a, b, c) in [
+                (&a, &b, &c),
+                (&lop_a, &b, &c),
+                (&family.0, &family.1, &family.2),
+            ] {
                 let plan = al.plan(a.len(), b.len(), c.len(), true);
                 let sink = MemorySink::new();
                 let ckpt = CheckpointConfig::new(&sink).every_planes(1);
-                al.score3_durable(a, &b, &c, &token, &ckpt, None).unwrap();
+                let run = al.run_durable(a, b, c, &token, &ckpt, None).unwrap();
                 let stored = sink.last().map(|snap| snap.kind);
-                assert_eq!(stored, plan.checkpoint.map(KernelKind::code), "{plan:?}");
+                let pruned = plan.algorithm == Algorithm::CarrilloLipman && run.fallback.is_none();
+                let want = plan.checkpoint.filter(|_| !pruned);
+                assert_eq!(stored, want.map(KernelKind::code), "{plan:?} {run:?}");
+                if std::ptr::eq(a, &family.0) {
+                    assert_eq!(pruned, plan.algorithm == Algorithm::CarrilloLipman);
+                }
             }
         }
     }

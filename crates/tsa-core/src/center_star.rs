@@ -44,8 +44,8 @@ pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> CenterStarResult {
 /// and `pair(center, y)`, where `pair(center, other)` aligns input
 /// `center` (row `a`) to input `other` (row `b`), by index in input
 /// order; rows in input order, re-scored. Any optimal pairwise alignments
-/// will do: Carrillo–Lipman merges on every center from the forward
-/// matrices its bound needs anyway, and keeps the best score.
+/// will do. Carrillo–Lipman scores the same merges straight off its
+/// pairwise paths; its tests hold that score to this alignment's.
 pub(crate) fn merged(
     scoring: &Scoring,
     center: usize,

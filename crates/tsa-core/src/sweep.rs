@@ -253,27 +253,32 @@ pub(crate) struct Span {
     pub off: u32,
 }
 
-/// The pruned sweep's lattice: each `(i, j)` row's kept `k`-interval,
-/// back to back in one allocation. Every other cell reads `NEG_INF`.
+/// The pruned sweep's store: each `(i, j)` row's kept `k`-interval of the
+/// slabs it holds, back to back in one allocation. Every other cell reads
+/// `NEG_INF`. It holds every slab (an alignment traces back through them
+/// all) or two rolling ones (a score reads the last).
 #[derive(Debug)]
 pub(crate) struct SparseLattice {
-    /// One span per `(i, j)`, at `i * (n2 + 1) + j`.
+    /// One span per `(i, j)` of the slabs held, at
+    /// `(i % slots) * (n2 + 1) + j`.
     spans: Vec<Span>,
     /// The kept cells, row after row.
     scores: Vec<i32>,
+    /// Slabs held: `n1 + 1`, or 2 rolling.
+    slots: usize,
     extents: Extents,
 }
 
 impl SparseLattice {
-    /// Cells the spans keep.
-    pub(crate) fn kept(spans: &[Span]) -> usize {
-        spans.last().map_or(0, |s| (s.off + s.len) as usize)
+    #[inline(always)]
+    fn span(&self, i: usize, j: usize) -> Span {
+        self.spans[(i % self.slots) * (self.extents.n2 + 1) + j]
     }
 
     /// Score at `(i, j, k)`; `NEG_INF` outside the row's span.
     #[inline(always)]
     pub(crate) fn at(&self, i: usize, j: usize, k: usize) -> i32 {
-        let s = self.spans[i * (self.extents.n2 + 1) + j];
+        let s = self.span(i, j);
         let x = k.wrapping_sub(s.lo as usize);
         if x < s.len as usize {
             self.scores[s.off as usize + x]
@@ -286,7 +291,7 @@ impl SparseLattice {
     /// outside its span.
     fn window(&self, i: usize, j: usize, kb: usize, out: &mut [i32]) {
         out.fill(NEG_INF);
-        let s = self.spans[i * (self.extents.n2 + 1) + j];
+        let s = self.span(i, j);
         let (lo, off) = (s.lo as usize, s.off as usize);
         let from = lo.max(kb);
         let to = (lo + s.len as usize).min(kb + out.len());
@@ -306,39 +311,63 @@ impl crate::full::Scores for SparseLattice {
     }
 }
 
-/// The slab loop over the kept cells only: slab by slab, every `(i, j)`
-/// row's span, under `kernel`'s rows. Interior rows run the SIMD slab row
-/// over the window `[lo − 1, hi]` (`[0, hi]` when the span starts at the
-/// `k = 0` face), reading predecessor windows copied out of the store with
-/// `NEG_INF` outside their spans; face rows (`i` or `j` of 0) and the
-/// `k = 0` cell take the generic kernel, as [`compute_slab`] does. Polls
-/// `cancel` once per slab; progress counts kept cells.
+/// Which slabs a sparse sweep keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SparseSlabs {
+    /// Every slab, `kept` cells in all: the store an alignment traces
+    /// back through.
+    All {
+        /// Cells of every slab's intervals.
+        kept: usize,
+    },
+    /// Two rolling slabs of at most `slab` kept cells each: a score.
+    Rolling {
+        /// Cells of the largest slab's intervals.
+        slab: usize,
+        /// Cells of every slab's intervals (the progress total).
+        kept: usize,
+    },
+}
+
+/// The slab loop over the kept cells only: slab by slab, each `(i, j)`
+/// row's interval `interval(i, j) = (lo, len)`, built when the sweep
+/// reaches its slab, under `kernel`'s rows. Interior rows run the SIMD
+/// slab row over the window `[lo − 1, hi]` (`[0, hi]` when the span starts
+/// at the `k = 0` face), reading predecessor windows copied out of the
+/// store with `NEG_INF` outside their spans; face rows (`i` or `j` of 0)
+/// and the `k = 0` cell take the generic kernel, as [`compute_slab`] does.
+/// The intervals must hold at most the cells `slabs` names. Polls `cancel`
+/// once per slab; progress counts kept cells.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_sparse(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
+    prof: &Profiles,
     kernel: SimdKernel,
-    spans: Vec<Span>,
+    slabs: SparseSlabs,
+    interval: impl Fn(usize, usize) -> (usize, usize),
     cancel: &CancelToken,
 ) -> Result<SparseLattice, CancelProgress> {
-    let (ra, rb, rc) = (a.residues(), b.residues(), c.residues());
-    let dp = Kernel::new(ra, rb, rc, scoring);
+    let (ra, rb) = (a.residues(), b.residues());
+    let dp = Kernel::new(ra, rb, c.residues(), scoring);
     let rk = kernel.resolve();
-    // The rows read their substitution scores from the profiles, scalar
-    // rows included.
-    let prof = Profiles::new(scoring, ra, rb, rc);
     let g2 = 2 * scoring.gap_linear();
     let (n1, n2, n3) = (a.len(), b.len(), c.len());
-    let total = SparseLattice::kept(&spans);
+    let (slots, cells, total) = match slabs {
+        SparseSlabs::All { kept } => (n1 + 1, kept, kept),
+        SparseSlabs::Rolling { slab, kept } => (2, 2 * slab, kept),
+    };
     let mut lat = SparseLattice {
-        scores: vec![NEG_INF; total],
-        spans,
+        spans: vec![Span::default(); slots * (n2 + 1)],
+        scores: vec![NEG_INF; cells],
+        slots,
         extents: Extents::new(n1, n2, n3),
     };
     // Predecessor windows and the row being computed, `n3 + 1` at most.
     let mut win = vec![NEG_INF; 4 * (n3 + 1)];
-    let mut done = 0usize;
+    let (mut done, mut off) = (0usize, 0usize);
     for i in 0..=n1 {
         if cancel.should_stop() {
             return Err(CancelProgress {
@@ -346,8 +375,22 @@ pub(crate) fn fill_sparse(
                 cells_total: total as u64,
             });
         }
+        // This slab's spans, over the slot of slab i − 2 when rolling.
+        if let SparseSlabs::Rolling { slab, .. } = slabs {
+            off = (i % 2) * slab;
+        }
+        let row0 = (i % slots) * (n2 + 1);
+        for (j, span) in lat.spans[row0..row0 + n2 + 1].iter_mut().enumerate() {
+            let (lo, len) = interval(i, j);
+            *span = Span {
+                lo: lo as u32,
+                len: len as u32,
+                off: off as u32,
+            };
+            off += len;
+        }
         for j in 0..=n2 {
-            let s = lat.spans[i * (n2 + 1) + j];
+            let s = lat.spans[row0 + j];
             let (lo, len, off) = (s.lo as usize, s.len as usize, s.off as usize);
             if len == 0 {
                 continue;
@@ -1178,60 +1221,75 @@ mod tests {
         }
     }
 
-    /// The sparse fill over arbitrary spans (empty rows, spans starting
-    /// at the `k = 0` face or past it, lengths 0 and 1 included) equals the
-    /// generic kernel over a dense lattice whose cells outside the spans
-    /// hold `NEG_INF`, under the scalar and the SIMD rows alike. Cells that
-    /// no path from the origin reaches inside the spans hold values below
-    /// `NEG_INF / 2` in both (the generic kernel floors them at `NEG_INF`,
-    /// the slab rows do not), which the traceback never follows.
+    /// The sparse fill over arbitrary intervals (empty rows, intervals
+    /// starting at the `k = 0` face or past it, lengths 0 and 1 included)
+    /// equals the generic kernel over a dense lattice whose cells outside
+    /// the intervals hold `NEG_INF`, under the scalar and the SIMD rows
+    /// alike, keeping every slab or rolling two (whose last slab is
+    /// checked). Cells that no path from the origin reaches inside the
+    /// intervals hold values below `NEG_INF / 2` in both (the generic
+    /// kernel floors them at `NEG_INF`, the slab rows do not), which the
+    /// traceback never follows.
     #[test]
-    fn sparse_fill_matches_the_generic_kernel_over_any_spans() {
+    fn sparse_fill_matches_the_generic_kernel_over_any_intervals() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_5a25);
         let never = CancelToken::never();
         for trial in 0..40 {
             let (a, b, c) = random_triple(trial + 200, 24);
             let e = Extents::new(a.len(), b.len(), c.len());
-            let n3 = e.n3;
-            let mut spans = Vec::new();
-            let mut off = 0;
-            for _ in 0..(e.n1 + 1) * (e.n2 + 1) {
-                let mut span = Span {
-                    off,
-                    ..Span::default()
-                };
-                if rng.gen_range(0..4) != 0 {
+            let (w2, n3) = (e.n2 + 1, e.n3);
+            let intervals: Vec<(usize, usize)> = (0..(e.n1 + 1) * w2)
+                .map(|_| {
+                    if rng.gen_range(0..4) == 0 {
+                        return (0, 0);
+                    }
                     let lo = rng.gen_range(0..=n3);
-                    span.lo = lo as u32;
-                    span.len = (rng.gen_range(lo..=n3) - lo + 1) as u32;
-                }
-                off += span.len;
-                spans.push(span);
-            }
+                    (lo, rng.gen_range(lo..=n3) - lo + 1)
+                })
+                .collect();
             let scoring = s();
             let dp = Kernel::new(a.residues(), b.residues(), c.residues(), &scoring);
             let mut want = vec![NEG_INF; e.cells()];
+            let mut slabs = vec![0; e.n1 + 1];
             for i in 0..=e.n1 {
                 for j in 0..=e.n2 {
-                    let span = spans[i * (e.n2 + 1) + j];
-                    for k in span.lo as usize..(span.lo + span.len) as usize {
+                    let (lo, len) = intervals[i * w2 + j];
+                    slabs[i] += len;
+                    for k in lo..lo + len {
                         want[e.index(i, j, k)] =
                             dp.cell(i, j, k, |pi, pj, pk| want[e.index(pi, pj, pk)]);
                     }
                 }
             }
+            let kept = slabs.iter().sum();
+            let prof = Profiles::new(&scoring, a.residues(), b.residues(), c.residues());
+            let stores = [
+                (SparseSlabs::All { kept }, 0),
+                (
+                    SparseSlabs::Rolling {
+                        slab: *slabs.iter().max().unwrap(),
+                        kept,
+                    },
+                    e.n1,
+                ),
+            ];
             for kernel in [SimdKernel::Scalar, SimdKernel::Auto] {
-                let got = fill_sparse(&a, &b, &c, &s(), kernel, spans.clone(), &never).unwrap();
-                for i in 0..=e.n1 {
-                    for j in 0..=e.n2 {
-                        for k in 0..=n3 {
-                            let (got, want) = (got.at(i, j, k), want[e.index(i, j, k)]);
-                            let at = format!("trial {trial} {kernel} ({i},{j},{k})");
-                            if want > NEG_INF / 2 {
-                                assert_eq!(got, want, "{at}");
-                            } else {
-                                assert!(got <= NEG_INF / 2, "{at}: {got}");
+                for (store, first) in stores {
+                    let interval = |i, j| intervals[i * w2 + j];
+                    let got =
+                        fill_sparse(&a, &b, &c, &scoring, &prof, kernel, store, interval, &never)
+                            .unwrap();
+                    for i in first..=e.n1 {
+                        for j in 0..=e.n2 {
+                            for k in 0..=n3 {
+                                let (got, want) = (got.at(i, j, k), want[e.index(i, j, k)]);
+                                let at = format!("trial {trial} {kernel} {store:?} ({i},{j},{k})");
+                                if want > NEG_INF / 2 {
+                                    assert_eq!(got, want, "{at}");
+                                } else {
+                                    assert!(got <= NEG_INF / 2, "{at}: {got}");
+                                }
                             }
                         }
                     }

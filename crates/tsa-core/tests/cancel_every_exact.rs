@@ -5,13 +5,16 @@
 //! deadline per algorithm and input must land mid-fill (`0 < cells_done <
 //! cells_total`), so the sweep cannot pass vacuously by only ever
 //! finishing or only ever stopping before the first step. Carrillo–Lipman
-//! runs two inputs: one its bound prunes (the sparse sweep) and one it
-//! keeps too much of (the dense fallback).
+//! runs two inputs: one its bound prunes (the sparse sweep: every slab for
+//! an alignment, two rolling slabs for a score) and one it sweeps densely
+//! (the dense lattice, or the rolling slab sweep), through both entry
+//! points.
 
 use std::time::Instant;
 
 use tsa_core::{Algorithm, AlignError, Aligner, CancelToken};
 use tsa_scoring::{GapModel, Scoring};
+use tsa_seq::family::FamilyConfig;
 use tsa_seq::gen::random_seq_seeded;
 use tsa_seq::{Alphabet, Seq};
 
@@ -55,11 +58,11 @@ fn run(
 
 #[test]
 fn every_exact_algorithm_stops_mid_fill_or_finishes_exactly() {
-    // Unrelated sequences: every algorithm spends most of its time in
-    // polled fills; the bound still prunes most of this cube.
+    // A 30%-substituted family: every algorithm spends most of its time
+    // in polled fills, and the bound prunes most of this cube.
+    let pruned = FamilyConfig::new(48, 0.3, 0.05).generate(11).members;
+    // A lopsided unrelated triple, a thin cube: swept densely at once.
     let dna = |len, seed| random_seq_seeded(Alphabet::Dna, len, seed);
-    let pruned = [32, 30, 34].map(|len| dna(len, len as u64));
-    // A lopsided unrelated triple whose bound keeps 36% of the cube.
     let dense = [dna(48, 9060), dna(8, 19060), dna(64, 29060)];
     for (alg, aligner) in exact_aligners() {
         let inputs: &[[Seq; 3]] = match alg {
@@ -68,15 +71,16 @@ fn every_exact_algorithm_stops_mid_fill_or_finishes_exactly() {
         };
         for seqs in inputs {
             let [a, b, c] = seqs;
-            let ran = aligner.run_cancellable(a, b, c, false, &CancelToken::never());
-            let fallback = ran.unwrap().fallback;
             if alg == Algorithm::CarrilloLipman {
-                // The two inputs take the two paths.
-                assert_eq!(
-                    fallback.is_some(),
-                    std::ptr::eq(seqs, &inputs[1]),
-                    "{alg:?}"
-                );
+                // The two inputs take the two paths, alignment and score.
+                for score_only in [false, true] {
+                    let ran = aligner.run_cancellable(a, b, c, score_only, &CancelToken::never());
+                    assert_eq!(
+                        ran.unwrap().fallback.is_some(),
+                        std::ptr::eq(seqs, &inputs[1]),
+                        "{alg:?} score_only={score_only}"
+                    );
+                }
             }
             sweep_deadlines(alg, &aligner, seqs);
         }
@@ -84,11 +88,11 @@ fn every_exact_algorithm_stops_mid_fill_or_finishes_exactly() {
 }
 
 /// Deadlines from 0 to the uncancelled run time, through both entry
-/// points; at least one must stop the run mid-fill.
+/// points; at least one per entry point must stop the run mid-fill.
 fn sweep_deadlines(alg: Algorithm, aligner: &Aligner, seqs: &[Seq; 3]) {
-    {
+    for align in [true, false] {
         let mut mid_fill = 0;
-        for align in [true, false] {
+        {
             let started = Instant::now();
             let optimum = run(aligner, seqs, align, &CancelToken::never())
                 .unwrap_or_else(|e| panic!("{alg:?} uncancelled: {e}"));
@@ -113,6 +117,9 @@ fn sweep_deadlines(alg: Algorithm, aligner: &Aligner, seqs: &[Seq; 3]) {
                 }
             }
         }
-        assert!(mid_fill > 0, "{alg:?}: no deadline landed mid-fill");
+        assert!(
+            mid_fill > 0,
+            "{alg:?} align={align}: no deadline landed mid-fill"
+        );
     }
 }

@@ -21,17 +21,29 @@ fn scoring() -> Scoring {
     Scoring::dna_default()
 }
 
-/// The pruned sweep's alignment and score under `kernel` must equal the
-/// scalar full lattice's, column for column.
+/// The pruned sweep's alignment and its score (two rolling sparse slabs,
+/// or the slab sweep it falls back to) under `kernel` must equal the
+/// scalar full lattice's, column for column; both report the path taken.
 fn pruned_matches_full([a, b, c]: &[Seq; 3], s: &Scoring, kernel: SimdKernel) {
     let never = CancelToken::never();
     let want = full::align(a, b, c, s);
     let (aln, pruning) = carrillo_lipman::align(a, b, c, s, kernel, &never).unwrap();
-    let (score, _) = carrillo_lipman::score(a, b, c, s, kernel, &never).unwrap();
+    let (score, scored) = carrillo_lipman::score(a, b, c, s, kernel, &never).unwrap();
     prop_assert_eq!(&aln, &want);
     prop_assert_eq!(score, want.score);
-    prop_assert!(pruning.cells() <= pruning.cube);
-    prop_assert_eq!(pruning.cells() == pruning.cube, pruning.fallback());
+    for p in [pruning, scored] {
+        prop_assert!(p.cells() <= p.cube);
+        prop_assert_eq!(p.cells() == p.cube, p.fallback());
+    }
+    // Both arms count the same intervals when they prune.
+    if let (Some(kept), Some(scored)) = (pruning.kept, scored.kept) {
+        prop_assert_eq!(kept, scored);
+    }
+}
+
+/// Random residues of `alphabet`, `lo..=hi` long.
+fn residues(alphabet: &'static [u8], lo: usize, hi: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(prop::sample::select(alphabet.to_vec()), lo..=hi)
 }
 
 proptest! {
@@ -45,7 +57,7 @@ proptest! {
 
     #[test]
     fn pruned_sweep_matches_full_on_families(
-        len in 1usize..=40,
+        len in 1usize..=64,
         rate in 0.0f64..=0.5,
         seed in any::<u64>(),
         protein in any::<bool>(),
@@ -53,7 +65,9 @@ proptest! {
     ) {
         // Family triples from identical to half substituted, DNA under the
         // default scoring and protein under BLOSUM62, long enough that
-        // intervals span 8 or more SIMD lanes; under the scalar rows too.
+        // intervals span 8 or more SIMD lanes, and past n = 39 long enough
+        // to compute the bounds (shorter cubes are thin and sweep densely
+        // at once); under the scalar rows too.
         let (config, s) = if protein {
             (FamilyConfig::protein(len, rate, 0.05), Scoring::blosum62())
         } else {
@@ -61,6 +75,25 @@ proptest! {
         };
         let kernel = if scalar { SimdKernel::Scalar } else { SimdKernel::Auto };
         pruned_matches_full(&config.generate(seed).members, &s, kernel);
+    }
+
+    #[test]
+    fn pruned_sweep_matches_full_on_lopsided_triples(
+        a in residues(b"ACGT", 8, 48),
+        b in residues(b"ACGT", 40, 120),
+        c in residues(b"ACGT", 16, 72),
+        protein in any::<bool>(),
+    ) {
+        // Unrelated lopsided triples: thin ones skip the bounds, wide ones
+        // fall back past the break-even, the rest stay pruned. As protein,
+        // the same bytes under BLOSUM62.
+        let (alphabet, s) = if protein {
+            (tsa_seq::Alphabet::Protein, Scoring::blosum62())
+        } else {
+            (tsa_seq::Alphabet::Dna, scoring())
+        };
+        let seq = |r: Vec<u8>| Seq::new("x", alphabet, r).unwrap();
+        pruned_matches_full(&[seq(a), seq(b), seq(c)], &s, SimdKernel::Auto);
     }
 
     #[test]

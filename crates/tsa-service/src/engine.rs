@@ -1570,8 +1570,8 @@ mod tests {
         let family = tsa_seq::family::FamilyConfig::new(60, 0.15, 0.05).generate(5);
         let [a, b, c] = family.members;
         let cube = ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64;
-        // An unrelated lopsided triple whose bound keeps 36% of the cube,
-        // past the break-even share.
+        // An unrelated lopsided triple, a thin cube: the bounds would cost
+        // a large share of it, so the dense lattice runs at once.
         let dna = |n, seed| tsa_seq::gen::random_seq_seeded(tsa_seq::Alphabet::Dna, n, seed);
         let wide = [dna(48, 9060), dna(8, 19060), dna(64, 29060)];
         let wide_cube = 49 * 9 * 65;
@@ -1903,6 +1903,57 @@ mod tests {
             engine.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn auto_score_job_that_falls_back_resumes_its_slab_snapshot() {
+        use tsa_core::checkpoint::CheckpointConfig;
+        use tsa_seq::gen::random_seq_seeded;
+        let dir = state_dir("fallback");
+        // An unrelated triple whose intervals keep 39% of the cube: an
+        // `auto` score job plans the pruned sweep, falls back to the slab
+        // sweep, and checkpoints as `Slabs`.
+        let dna = |n, seed| random_seq_seeded(tsa_seq::Alphabet::Dna, n, seed);
+        let (a, b, c) = (dna(20, 100), dna(100, 101), dna(40, 102));
+        let req = AlignRequest::new("fallback", a.clone(), b.clone(), c.clone()).score_only(true);
+        let aligner = Aligner::auto(req.scoring.clone());
+        let plan = aligner.plan(a.len(), b.len(), c.len(), true);
+        assert_eq!(plan.algorithm, Algorithm::CarrilloLipman);
+        assert_eq!(plan.checkpoint, Some(tsa_core::KernelKind::Slabs));
+        let uid = durability::job_uid(&req);
+        {
+            // The crash came mid-run: the job is journaled, and the slab
+            // sweep's snapshots (one per slab) left the last on disk.
+            let policy = CheckpointPolicy {
+                every_planes: 1,
+                every: None,
+            };
+            let (d, _replay) = Durability::open(&dir, policy, 64).unwrap();
+            d.record_job(&uid, &req);
+            let sink = d.sink_for(&uid);
+            let ckpt = CheckpointConfig::new(&sink).every_planes(1);
+            let run = aligner
+                .run_durable(&a, &b, &c, &CancelToken::never(), &ckpt, None)
+                .unwrap();
+            assert_eq!(run.fallback, Some(Algorithm::FullDp));
+            d.sync().unwrap();
+            let snap = d.load_snapshot(&uid).expect("slab snapshot on disk");
+            assert_eq!(snap.kind, tsa_core::KernelKind::Slabs.code());
+        }
+        let engine = Engine::start(durable_config(&dir));
+        let stats = engine.stats();
+        assert_eq!((stats.resumed, stats.restarted), (1, 0));
+        await_completed(&engine, 1);
+        let outcome = engine.submit(req).unwrap().wait();
+        let result = outcome.result().expect("resumed result is served");
+        assert!(result.cached, "the resumed run populated the cache");
+        assert_eq!(result.algorithm, Algorithm::CarrilloLipman);
+        assert_eq!(
+            result.score,
+            tsa_core::full::align_score(&a, &b, &c, &Scoring::dna_default())
+        );
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

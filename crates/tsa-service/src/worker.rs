@@ -431,22 +431,16 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
                 drain: Some(&handle.drain),
             };
             let run = |snap: Option<&FrontierSnapshot>| {
-                aligner.score3_durable(&job.a, &job.b, &job.c, &cancel, &ckpt, snap)
+                aligner.run_durable(&job.a, &job.b, &job.c, &cancel, &ckpt, snap)
             };
-            let result = match run(resume.as_ref()) {
+            match run(resume.as_ref()) {
                 // Startup pre-validation can miss shape drift (e.g. a
                 // governor downgrade changed the kernel since the
                 // snapshot): re-run cleanly rather than failing the job.
                 Err(DurableStop::InvalidResume(_)) => run(None),
                 other => other,
-            };
-            let planned = |score| Run {
-                score,
-                alignment: None,
-                cells: plan.cells,
-                fallback: None,
-            };
-            result.map(planned).map_err(KernelErr::Stop)
+            }
+            .map_err(KernelErr::Stop)
         } else {
             aligner
                 .run_cancellable(&job.a, &job.b, &job.c, job.score_only, &cancel)

@@ -11,7 +11,7 @@
 //! caller's, typically a [`crate::SharedGrid`] written under the plane
 //! disjointness contract.
 
-use crate::plane::{plane_cells, Extents};
+use crate::plane::{plane_rows, Extents};
 use crate::profile::{PlaneProfile, PlaneSample};
 use crate::tiles::TileGrid;
 use rayon::prelude::*;
@@ -25,6 +25,8 @@ const MIN_CELLS_PER_TASK: usize = 64;
 /// Run `kernel(i, j, k)` over every lattice cell with cell-level wavefront
 /// parallelism: all cells of a plane in parallel, a barrier between planes.
 ///
+/// A plane is walked row by row ([`plane_rows`]); no cell list is held.
+///
 /// `should_stop` is polled once per anti-diagonal plane (one check per
 /// `O(n²)` cells; pass `|| false` to run to completion). When it fires
 /// the sweep stops before starting the next plane and returns
@@ -35,38 +37,64 @@ pub fn run_cells_wavefront(
     kernel: impl Fn(usize, usize, usize) + Sync,
     mut should_stop: impl FnMut() -> bool,
 ) -> Result<(), u64> {
+    let workers = rayon::current_num_threads().max(1);
     let mut done: u64 = 0;
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
     for d in 0..e.num_planes() {
         if should_stop() {
             return Err(done);
         }
-        cells.clear();
-        cells.extend(plane_cells(e, d));
-        if cells.len() < MIN_CELLS_PER_TASK {
-            for &(i, j, k) in &cells {
-                kernel(i, j, k);
-            }
+        let len = e.plane_len(d);
+        if len < MIN_CELLS_PER_TASK {
+            plane_segment(e, d, 0, len, &kernel);
         } else {
-            cells
-                .par_iter()
-                .with_min_len(MIN_CELLS_PER_TASK)
-                .for_each(|&(i, j, k)| kernel(i, j, k));
+            let chunk = task_len(len, workers);
+            (0..len.div_ceil(chunk))
+                .into_par_iter()
+                .for_each(|t| plane_segment(e, d, t * chunk, (t + 1) * chunk, &kernel));
         }
-        done += cells.len() as u64;
+        done += len as u64;
     }
     Ok(())
+}
+
+/// Cells per task when a plane of `len` cells splits across `workers`:
+/// one task per worker, floored at `MIN_CELLS_PER_TASK`.
+fn task_len(len: usize, workers: usize) -> usize {
+    len.div_ceil(workers).max(MIN_CELLS_PER_TASK)
+}
+
+/// Run `kernel` over the cells of plane `d` at positions `from..to` of its
+/// enumeration order (increasing `i`, then `j`), walking the plane's rows
+/// instead of listing its cells.
+fn plane_segment(
+    e: Extents,
+    d: usize,
+    from: usize,
+    to: usize,
+    kernel: &(impl Fn(usize, usize, usize) + Sync),
+) {
+    let mut at = 0;
+    for (i, j_lo, j_hi) in plane_rows(e, d) {
+        if at >= to {
+            break;
+        }
+        let len = j_hi - j_lo + 1;
+        for x in from.max(at)..to.min(at + len) {
+            let j = j_lo + x - at;
+            kernel(i, j, d - i - j);
+        }
+        at += len;
+    }
 }
 
 /// Like [`run_cells_wavefront`] run to completion, but times every plane
 /// and returns a [`PlaneProfile`]: per plane, the wall-clock duration, the
 /// kernel time summed over tasks, and the longest single task.
 ///
-/// To attribute time to tasks the plane is split into *explicit* chunks
-/// (one per worker, floored at `MIN_CELLS_PER_TASK` cells) rather than
-/// letting the scheduler pick, so `tasks` in each sample is exact. The
-/// cell visit order within a plane matches the plain executor; the
-/// plane-disjointness contract is unchanged. Timing adds two `Instant`
+/// Both executors split a plane into the same explicit chunks (one per
+/// worker, floored at `MIN_CELLS_PER_TASK` cells), so `tasks` in each
+/// sample is exact. The cell visit order within a plane matches the plain
+/// executor; the plane-disjointness contract is unchanged. Timing adds two `Instant`
 /// reads plus two relaxed atomic ops per *task* (not per cell), so the
 /// profiled sweep is within noise of the plain one for realistic kernels.
 pub fn run_cells_wavefront_profiled(
@@ -75,45 +103,34 @@ pub fn run_cells_wavefront_profiled(
 ) -> PlaneProfile {
     let workers = rayon::current_num_threads().max(1);
     let mut samples = Vec::with_capacity(e.num_planes());
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
     for d in 0..e.num_planes() {
-        cells.clear();
-        cells.extend(plane_cells(e, d));
+        let len = e.plane_len(d);
         let started = Instant::now();
         let (busy_ns, max_task_ns, tasks);
-        if cells.len() < MIN_CELLS_PER_TASK {
-            for &(i, j, k) in &cells {
-                kernel(i, j, k);
-            }
+        if len < MIN_CELLS_PER_TASK {
+            plane_segment(e, d, 0, len, &kernel);
             let ns = started.elapsed().as_nanos() as u64;
             busy_ns = ns;
             max_task_ns = ns;
             tasks = 1;
         } else {
-            let chunk = cells.len().div_ceil(workers).max(MIN_CELLS_PER_TASK);
-            let ranges: Vec<(usize, usize)> = (0..cells.len())
-                .step_by(chunk)
-                .map(|lo| (lo, (lo + chunk).min(cells.len())))
-                .collect();
+            let chunk = task_len(len, workers);
             let busy = AtomicU64::new(0);
             let max_task = AtomicU64::new(0);
-            let cells_ref = &cells;
-            ranges.par_iter().with_min_len(1).for_each(|&(lo, hi)| {
+            tasks = len.div_ceil(chunk);
+            (0..tasks).into_par_iter().for_each(|t| {
                 let t0 = Instant::now();
-                for &(i, j, k) in &cells_ref[lo..hi] {
-                    kernel(i, j, k);
-                }
+                plane_segment(e, d, t * chunk, (t + 1) * chunk, &kernel);
                 let ns = t0.elapsed().as_nanos() as u64;
                 busy.fetch_add(ns, Ordering::Relaxed);
                 max_task.fetch_max(ns, Ordering::Relaxed);
             });
             busy_ns = busy.into_inner();
             max_task_ns = max_task.into_inner();
-            tasks = ranges.len();
         }
         samples.push(PlaneSample {
             plane: d,
-            items: cells.len(),
+            items: len,
             tasks,
             wall_ns: started.elapsed().as_nanos() as u64,
             busy_ns,

@@ -2,7 +2,7 @@
 //! facade, must agree — on scores, on bounds, and (for the full-lattice
 //! family) on the canonical traceback itself.
 
-use three_seq_align::core::{bounds, center_star, Algorithm, Aligner, SimdKernel};
+use three_seq_align::core::{bounds, center_star, Algorithm, Aligner, CancelToken, SimdKernel};
 use three_seq_align::prelude::*;
 
 fn exact_algorithms() -> Vec<Algorithm> {
@@ -146,5 +146,76 @@ fn scoring_presets_all_work_end_to_end() {
             .align3(a, b, c)
             .unwrap();
         aln.validate_scored(a, b, c, &scoring).unwrap();
+    }
+}
+
+/// `Auto` score jobs (the pruned sweep over two rolling sparse slabs, or
+/// the slab sweep it falls back to) equal the scalar full DP on random,
+/// family, lopsided and protein triples, and each takes the arm named.
+#[test]
+fn auto_scores_match_the_scalar_full_dp_on_both_arms() {
+    use three_seq_align::core::full;
+    use three_seq_align::seq::gen::random_seq_seeded;
+    let dna = |n, seed| random_seq_seeded(Alphabet::Dna, n, seed);
+    let protein = |n, seed| random_seq_seeded(Alphabet::Protein, n, seed);
+    let family = |config: FamilyConfig, seed| config.generate(seed).members;
+    // (label, triple, scoring, falls back).
+    let cases = [
+        (
+            "random 64³",
+            [dna(64, 1), dna(64, 2), dna(64, 3)],
+            Scoring::dna_default(),
+            false,
+        ),
+        (
+            "family 64",
+            family(FamilyConfig::new(64, 0.15, 0.05), 4),
+            Scoring::dna_default(),
+            false,
+        ),
+        (
+            "protein 48³",
+            [protein(48, 5), protein(48, 6), protein(48, 7)],
+            Scoring::blosum62(),
+            false,
+        ),
+        (
+            "protein family 56",
+            family(FamilyConfig::protein(56, 0.3, 0.05), 8),
+            Scoring::blosum62(),
+            false,
+        ),
+        (
+            "lopsided 40×120×70",
+            [dna(40, 9), dna(120, 10), dna(70, 11)],
+            Scoring::dna_default(),
+            false,
+        ),
+        (
+            "thin 16×200×30",
+            [dna(16, 12), dna(200, 13), dna(30, 14)],
+            Scoring::dna_default(),
+            true,
+        ),
+        (
+            "unrelated 20×100×40",
+            [dna(20, 100), dna(100, 101), dna(40, 102)],
+            Scoring::dna_default(),
+            true,
+        ),
+    ];
+    let never = CancelToken::never();
+    for (label, [a, b, c], scoring, falls_back) in cases {
+        let aligner = Aligner::new().scoring(scoring.clone());
+        let plan = aligner.plan(a.len(), b.len(), c.len(), true);
+        assert_eq!(plan.algorithm, Algorithm::CarrilloLipman, "{label}");
+        let run = aligner.run_cancellable(&a, &b, &c, true, &never).unwrap();
+        assert_eq!(
+            run.score,
+            full::align_score(&a, &b, &c, &scoring),
+            "{label}"
+        );
+        assert_eq!(run.fallback.is_some(), falls_back, "{label}: {run:?}");
+        assert_eq!(run.cells == plan.cells, falls_back, "{label}");
     }
 }
